@@ -163,8 +163,9 @@ class RadixTree:
 
         One flat generator with an explicit stack — the recursive
         ``yield from`` formulation resumes depth-many generators per
-        yielded page, which dominated writeback's full-cache scans.
-        ``REPRO_NO_HOTPATH=1`` keeps the recursive walk (same order).
+        yielded page, which dominates full-tree walks (``PageCache.pages``
+        on unlink, fsck audits). ``REPRO_NO_HOTPATH=1`` keeps the
+        recursive walk (same order).
         """
         root = self._root
         if root is None:

@@ -692,7 +692,7 @@ class Kernel:
                 self.storage_io(
                     page.obj.size_bytes, write=True, sequential=False, background=True
                 )
-                page.clean()
+                cache.clean(page)
             self.fs.cache_mgr.note_remove(page)
             cache.remove(page.index)
             self.free_object(page.obj, cpu=cpu)

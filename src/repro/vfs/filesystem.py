@@ -231,6 +231,10 @@ class Filesystem:
                 self.cache_mgr.note_access(page)
                 self._charge_index_walk(cache, cpu=cpu)
             chunk = self._chunk_bytes(offset, nbytes, index)
+            # Tag before the charge: the charge sets the dirty bit and may
+            # then advance the clock into a writeback wake, which must
+            # find the page tagged.
+            cache.tag_dirty(page)
             self.ctx.access_object(page.obj, chunk, write=True, cpu=cpu)
 
         inode.size_bytes = max(inode.size_bytes, offset + nbytes)
@@ -312,7 +316,7 @@ class Filesystem:
                 background=background,
             )
             for page in dirty:
-                page.clean()
+                cache.clean(page)
         self.journal.commit(cpu=cpu, background=background)
         return len(dirty)
 
@@ -349,7 +353,7 @@ class Filesystem:
         if from_disk:
             # Device data lands in the page: one full-page write.
             self.ctx.access_object(obj, PAGE_SIZE, write=True, cpu=cpu)
-            page.clean()  # disk contents are clean until modified
+            cache.clean(page)  # disk contents are clean until modified
         cache.insert(page)
         self.cache_mgr.note_insert(page)
         return page
@@ -378,7 +382,7 @@ class Filesystem:
                 self.blk.submit_pages(
                     1, write=True, sequential=False, cpu=cpu, background=True
                 )
-                page.clean()
+                cache.clean(page)
             self.cache_mgr.note_remove(page)
             cache.remove(page.index)
             self.ctx.free_object(page.obj, cpu=cpu)
@@ -430,8 +434,9 @@ class Filesystem:
 
         Verifies: every dentry's inode is registered and undeleted; every
         registered page cache belongs to a live inode; cached pages map
-        within their file's size; open handles reference open inodes; and
-        the global LRU count matches the per-inode caches.
+        within their file's size; the dirty-page index agrees with the
+        cached pages (:meth:`check_dirty_index`); open handles reference
+        open inodes; and the global LRU count matches the per-inode caches.
         """
         live_inos = {inode.ino for inode in self.inodes.live_inodes()}
         for path in list(self.dcache._entries):  # noqa: SLF001 - audit walk
@@ -458,6 +463,7 @@ class Filesystem:
                         f"inode {ino} caches page {page.index} beyond EOF "
                         f"({inode.size_bytes} bytes)"
                     )
+        self.check_dirty_index()
         if total_cached != self.cache_mgr.total_pages:
             raise VFSError(
                 f"page cache LRU holds {self.cache_mgr.total_pages} pages, "
@@ -467,8 +473,32 @@ class Filesystem:
             if handle.closed or not handle.inode.is_open:
                 raise VFSError(f"stale handle fd={handle.fd}")
 
+    def check_dirty_index(self) -> None:
+        """Raise VFSError unless every cached page whose frame is dirty is
+        tagged and every tag names a page that is still cached.
+
+        Holds at any clock tick, mid-operation included, so the writeback
+        wake runs it under ``REPRO_SANITIZE=1``.
+        """
+        for cache in self.cache_mgr.caches():
+            for index, page in cache.dirty_tags.items():
+                if cache.lookup(index) is not page:
+                    raise VFSError(
+                        f"inode {cache.ino} tags page {index} that is not cached"
+                    )
+            for page in cache.pages():
+                if page.dirty and page.index not in cache.dirty_tags:
+                    raise VFSError(
+                        f"inode {cache.ino} page {page.index} is dirty but untagged"
+                    )
+
     def dirty_page_count(self) -> int:
-        return sum(1 for p in self.cache_mgr.all_pages() if p.dirty)
+        return sum(
+            1
+            for cache in self.cache_mgr.caches()
+            for page in cache.dirty_tags.values()
+            if page.dirty
+        )
 
     def file_count(self) -> int:
         return len(self.dcache)

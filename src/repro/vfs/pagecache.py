@@ -11,7 +11,7 @@ gives cache pages their ~160ms lifetimes (Fig 2d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.alloc.base import KernelObject
 from repro.core.errors import SimulationError
@@ -31,9 +31,6 @@ class CachePage:
     def dirty(self) -> bool:
         return self.obj.frame.dirty
 
-    def clean(self) -> None:
-        self.obj.frame.dirty = False
-
     def __hash__(self) -> int:
         return hash((self.ino, self.index))
 
@@ -51,6 +48,15 @@ class PageCache:
     ``alloc_node``/``free_node`` create and destroy the RADIX_NODE slab
     objects for interior nodes, so index metadata shows up in the
     footprint breakdowns exactly as §3.3 describes.
+
+    ``dirty_tags`` is the dirty-page index, the counterpart of Linux's
+    ``PAGECACHE_TAG_DIRTY`` radix tag: it maps page index to page for
+    every cached page whose frame is dirty, so writeback, fsync and dirty
+    counts cost O(dirty pages) instead of a walk over the whole tree.
+    The filesystem tags a page (:meth:`tag_dirty`) before the write
+    charge that sets its frame's dirty bit; :meth:`clean` and
+    :meth:`remove` drop the tag. A tag whose frame is already clean is
+    harmless: readers skip it.
     """
 
     def __init__(
@@ -65,6 +71,7 @@ class PageCache:
         self.tree = RadixTree(
             on_node_alloc=self._node_alloc, on_node_free=self._node_free
         )
+        self.dirty_tags: Dict[int, CachePage] = {}
 
     def _node_alloc(self, node) -> None:
         node.token = self._alloc_node()
@@ -90,13 +97,25 @@ class PageCache:
             )
 
     def remove(self, index: int) -> Optional[CachePage]:
+        self.dirty_tags.pop(index, None)
         return self.tree.delete(index)
+
+    def tag_dirty(self, page: CachePage) -> None:
+        """Tag ``page`` dirty; call before the write that dirties it."""
+        self.dirty_tags[page.index] = page
+
+    def clean(self, page: CachePage) -> None:
+        """Clear the page's dirty bit and its tag (written back or dropped)."""
+        page.obj.frame.dirty = False
+        self.dirty_tags.pop(page.index, None)
 
     def pages(self) -> List[CachePage]:
         return [page for _idx, page in self.tree.items()]
 
     def dirty_pages(self) -> List[CachePage]:
-        return [p for p in self.pages() if p.dirty]
+        """Dirty pages in index order, read from the dirty-page index."""
+        tags = self.dirty_tags
+        return [tags[i] for i in sorted(tags) if tags[i].dirty]
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -124,6 +143,10 @@ class PageCacheManager:
 
     def cache_for(self, ino: int) -> Optional[PageCache]:
         return self._caches.get(ino)
+
+    def caches(self) -> Iterable[PageCache]:
+        """Registered caches, in registration order."""
+        return self._caches.values()
 
     @property
     def total_pages(self) -> int:
@@ -157,9 +180,6 @@ class PageCacheManager:
             if cache is not None:
                 victims.append((cache, page))
         return victims
-
-    def all_pages(self) -> List[CachePage]:
-        return [p for cache in self._caches.values() for p in cache.pages()]
 
     def __repr__(self) -> str:
         return f"PageCacheManager({self.total_pages}/{self.max_pages} pages)"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.hotpath import hotpath_enabled
+from repro.core.sanitize import sanitize_enabled
 from repro.core.units import MS
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ class WritebackDaemon:
         self.wakeups = 0
         self.pages_flushed = 0
         self._started = False
-        self._hot = hotpath_enabled()
+        self._sanitize = sanitize_enabled()
 
     def start(self) -> None:
         """Register with the clock; safe to call once."""
@@ -55,41 +55,35 @@ class WritebackDaemon:
 
     def _wake(self, now_ns: int) -> None:
         self.wakeups += 1
+        if self._sanitize:
+            self.fs.check_dirty_index()
         self.flush(self.batch_pages)
         self.fs.journal.commit(background=True)
 
     def flush(self, max_pages: int) -> int:
-        """Write back up to ``max_pages`` dirty pages (oldest inodes first)."""
+        """Write back up to ``max_pages`` dirty pages (oldest inodes first).
+
+        Caches are visited in registration order and, within a cache, the
+        dirty-tagged pages in index order, so the cost is O(dirty pages).
+        A tagged page whose frame is already clean is skipped. A page
+        evicted mid-flush (direct reclaim inside a bio allocation) has lost
+        its tag and is skipped too.
+        """
         flushed = 0
         submit = self.fs.blk.submit_pages
-        if self._hot:
-            # Walk the per-inode trees directly, in all_pages() order
-            # (cache registration order, then page index), without
-            # materializing the full page list each wakeup, and stop as
-            # soon as the batch quota is met. Same pages flushed in the
-            # same order; ``REPRO_NO_HOTPATH=1`` keeps the full-list scan.
-            for cache in self.fs.cache_mgr._caches.values():  # noqa: SLF001
-                if flushed >= max_pages:
-                    break
-                for _idx, page in cache.tree.items():
-                    if flushed >= max_pages:
-                        break
-                    frame = page.obj.frame
-                    if not frame.dirty:
-                        continue
-                    submit(1, write=True, sequential=True, background=True)
-                    frame.dirty = False
-                    flushed += 1
-            self.pages_flushed += flushed
-            return flushed
-        for page in self.fs.cache_mgr.all_pages():
+        for cache in self.fs.cache_mgr.caches():
             if flushed >= max_pages:
                 break
-            if not page.dirty:
-                continue
-            submit(1, write=True, sequential=True, background=True)
-            page.clean()
-            flushed += 1
+            tags = cache.dirty_tags
+            for index in sorted(tags):
+                if flushed >= max_pages:
+                    break
+                page = tags.get(index)
+                if page is None or not page.dirty:
+                    continue
+                submit(1, write=True, sequential=True, background=True)
+                cache.clean(page)
+                flushed += 1
         self.pages_flushed += flushed
         return flushed
 

@@ -19,7 +19,7 @@ from repro.snapshot import (
     setup_key,
     usage,
 )
-from repro.snapshot.state import capture, restore
+from repro.snapshot.state import SNAPSHOT_FORMAT, capture, restore
 
 
 def warmed_pair():
@@ -59,7 +59,7 @@ class TestCaptureRestore:
     def test_restore_rejects_wrong_shape(self):
         import pickle  # simlint: ok[snapshot-path] testing the blessed path
 
-        assert restore(pickle.dumps({"format": "1", "state": "scalar"})) is None
+        assert restore(pickle.dumps({"format": SNAPSHOT_FORMAT, "state": "scalar"})) is None
         assert restore(pickle.dumps(["no", "header"])) is None
 
 

@@ -61,10 +61,37 @@ class TestPageCache:
     def test_dirty_pages(self, kernel):
         cache = make_cache(kernel)
         a = make_page(kernel, cache, 0)
-        b = make_page(kernel, cache, 1)
-        a.obj.frame.dirty = True
+        make_page(kernel, cache, 1)
+        # The filesystem's write path: tag, then the write charge.
+        cache.tag_dirty(a)
+        kernel.access_object(a.obj, write=True)
         assert cache.dirty_pages() == [a]
-        a.clean()
+        cache.clean(a)
+        assert not a.dirty
+        assert cache.dirty_pages() == []
+        assert cache.dirty_tags == {}
+
+    def test_dirty_pages_in_index_order(self, kernel):
+        cache = make_cache(kernel)
+        pages = {i: make_page(kernel, cache, i) for i in (7, 2, 5)}
+        for i in (7, 2, 5):
+            cache.tag_dirty(pages[i])
+            kernel.access_object(pages[i].obj, write=True)
+        assert [p.index for p in cache.dirty_pages()] == [2, 5, 7]
+
+    def test_tag_on_clean_frame_is_skipped(self, kernel):
+        cache = make_cache(kernel)
+        page = make_page(kernel, cache, 0)
+        cache.tag_dirty(page)  # tagged, but the write never landed
+        assert cache.dirty_pages() == []
+
+    def test_remove_drops_tag(self, kernel):
+        cache = make_cache(kernel)
+        page = make_page(kernel, cache, 3)
+        cache.tag_dirty(page)
+        kernel.access_object(page.obj, write=True)
+        assert cache.remove(3) is page
+        assert cache.dirty_tags == {}
         assert cache.dirty_pages() == []
 
     def test_pages_listing(self, kernel):
