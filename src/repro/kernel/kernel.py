@@ -140,24 +140,30 @@ class Kernel:
             self.kloc_manager.note_access if self.kloc_manager is not None else None
         )
 
+        #: Per-node cost hook for the flat charge sites: in NUMA mode each
+        #: access is priced by ``NumaNode.access_cost_ns`` (hardware DRAM
+        #: cache probe, PMEM miss cost, interconnect premium); None on
+        #: two-tier platforms, where the sites inline the tier cost.
+        self._numa_nodes: Optional[Dict[str, NumaNode]] = (
+            self.nodes if self.numa_mode else None
+        )
+
         # Metric counters (Fig 2c's reference attribution).
         self.kernel_refs = 0
         self.kernel_ref_bytes = 0
         self.app_refs = 0
         self.app_ref_bytes = 0
         self.refs_by_owner: Dict[PageOwner, int] = {o: 0 for o in PageOwner}
-        # Reference attribution storage. Flat mode (the default outside
-        # NUMA platforms) preallocates nested counters for every tier ×
-        # owner pair so the charge path is ``d[k] += v`` with no tuple
-        # allocation or ``.get()``; the legacy tuple-keyed dicts are kept
-        # behind ``REPRO_NO_HOTPATH=1`` (and in NUMA mode, whose hw-cache
-        # costs keep the legacy charge path anyway). ``refs_by_tier`` and
-        # ``access_ns_by`` are exposed as properties that materialize the
-        # same dicts either way.
-        # REPRO_SANITIZE=1 forces the legacy charge paths so every access
-        # funnels through the liveness-checked entry points — bit-identical
-        # by the hotpath equivalence guarantee, just slower.
-        self._flat = hotpath_enabled() and not self.numa_mode and self._san is None
+        # Reference attribution storage. Flat mode (the default, on every
+        # platform and under REPRO_SANITIZE=1) preallocates nested
+        # counters for every tier × owner pair so the charge path is
+        # ``d[k] += v`` with no tuple allocation or ``.get()``; the legacy
+        # tuple-keyed dicts are kept behind ``REPRO_NO_HOTPATH=1``.
+        # ``refs_by_tier`` and ``access_ns_by`` are exposed as properties
+        # that materialize the same dicts either way. The sanitizer rides
+        # the flat path: its use-after-free diagnostics are built only on
+        # the raise branches, so a live access pays nothing for it.
+        self._flat = hotpath_enabled()
         tier_names = [platform.fast.name, platform.slow.name]
         #: tier → [app_refs, kernel_refs]; indexed by ``owner is not APP``.
         self._refs_by_tier_n: Dict[str, List[int]] = {
@@ -169,7 +175,7 @@ class Kernel:
         self._access_ns_n: Dict[PageOwner, Dict[str, List[int]]] = {
             o: {t: [0, 0] for t in tier_names} for o in PageOwner
         }
-        #: Legacy tuple-keyed dicts (REPRO_NO_HOTPATH=1 / NUMA mode).
+        #: Legacy tuple-keyed dicts (REPRO_NO_HOTPATH=1).
         self._refs_by_tier_d: Dict[tuple, int] = {}
         self._access_ns_d: Dict[tuple, int] = {}
         self.storage_ns_total = 0
@@ -319,18 +325,30 @@ class Kernel:
         # Flat path: the whole charge sequence inlined — same operations,
         # same order, no helper-call overhead per reference.
         if obj.freed_at is not None:
+            if self._san is not None:
+                raise self._san.dead_object_error(obj)
             raise SimulationError(f"access to freed object {obj!r}")
         frame = obj.frame
         size = nbytes if nbytes is not None else obj.otype.size_bytes
         tier_name = frame.tier_name
         owner = frame.owner
-        tier = self._tiers[tier_name]
-        if write:
-            tier.bytes_written += size
-            cost = tier.write_latency_ns + int(size * tier.slowdown / tier.write_bw)
+        nodes = self._numa_nodes
+        if nodes is not None:
+            cost = nodes[tier_name].access_cost_ns(
+                frame.fid, size, write=write, from_node=self.task_node
+            )
         else:
-            tier.bytes_read += size
-            cost = tier.read_latency_ns + int(size * tier.slowdown / tier.read_bw)
+            tier = self._tiers[tier_name]
+            if write:
+                tier.bytes_written += size
+                cost = tier.write_latency_ns + int(
+                    size * tier.slowdown / tier.write_bw
+                )
+            else:
+                tier.bytes_read += size
+                cost = tier.read_latency_ns + int(
+                    size * tier.slowdown / tier.read_bw
+                )
         self._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1
         cell = self._access_ns_n[owner][tier_name]
         cell[0] += cost
@@ -379,18 +397,28 @@ class Kernel:
             self.refs_by_owner[owner] += 1
             return cost
         if frame.freed_at is not None:
+            if self._san is not None:
+                raise self._san.dead_frame_error(frame)
             raise SimulationError(f"access to freed frame {frame!r}")
         tier_name = frame.tier_name
         owner = frame.owner
-        tier = self._tiers[tier_name]
-        if write:
-            tier.bytes_written += nbytes
-            cost = tier.write_latency_ns + int(
-                nbytes * tier.slowdown / tier.write_bw
+        nodes = self._numa_nodes
+        if nodes is not None:
+            cost = nodes[tier_name].access_cost_ns(
+                frame.fid, nbytes, write=write, from_node=self.task_node
             )
         else:
-            tier.bytes_read += nbytes
-            cost = tier.read_latency_ns + int(nbytes * tier.slowdown / tier.read_bw)
+            tier = self._tiers[tier_name]
+            if write:
+                tier.bytes_written += nbytes
+                cost = tier.write_latency_ns + int(
+                    nbytes * tier.slowdown / tier.write_bw
+                )
+            else:
+                tier.bytes_read += nbytes
+                cost = tier.read_latency_ns + int(
+                    nbytes * tier.slowdown / tier.read_bw
+                )
         self._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1
         cell = self._access_ns_n[owner][tier_name]
         cell[0] += cost
@@ -442,9 +470,12 @@ class Kernel:
         cross the deadline flushes the pending time (still strictly before
         the deadline, so nothing fires early) and is charged with a real
         per-frame advance, which fires daemons exactly when the legacy
-        loop would. With ``REPRO_NO_HOTPATH=1`` (or in NUMA mode, whose
-        hw-cache hit/miss state makes costs order-dependent) this is a
-        plain loop over :meth:`access_frame`.
+        loop would. Costs are computed per frame in run order, so the
+        stateful NUMA cost hook (the hardware DRAM cache's LRU, the
+        per-node local/remote counters) sees exactly the per-frame
+        sequence: batching reorders no access, it only defers the advance.
+        With ``REPRO_NO_HOTPATH=1`` this is a plain loop over
+        :meth:`access_frame`.
         """
         if not self._flat:
             total = 0
@@ -458,6 +489,7 @@ class Kernel:
             return total
         clock = self.clock
         tiers = self._tiers
+        nodes = self._numa_nodes
         refs_n = self._refs_by_tier_n
         ns_n = self._access_ns_n
         refs_by_owner = self.refs_by_owner
@@ -476,20 +508,27 @@ class Kernel:
             chunk = PAGE_SIZE if remaining >= PAGE_SIZE else remaining
             remaining -= chunk
             if frame.freed_at is not None:
+                if self._san is not None:
+                    raise self._san.dead_frame_error(frame)
                 raise SimulationError(f"access to freed frame {frame!r}")
             tier_name = frame.tier_name
             owner = frame.owner
-            tier = tiers[tier_name]
-            if write:
-                tier.bytes_written += chunk
-                cost = tier.write_latency_ns + int(
-                    chunk * tier.slowdown / tier.write_bw
+            if nodes is not None:
+                cost = nodes[tier_name].access_cost_ns(
+                    frame.fid, chunk, write=write, from_node=self.task_node
                 )
             else:
-                tier.bytes_read += chunk
-                cost = tier.read_latency_ns + int(
-                    chunk * tier.slowdown / tier.read_bw
-                )
+                tier = tiers[tier_name]
+                if write:
+                    tier.bytes_written += chunk
+                    cost = tier.write_latency_ns + int(
+                        chunk * tier.slowdown / tier.write_bw
+                    )
+                else:
+                    tier.bytes_read += chunk
+                    cost = tier.read_latency_ns + int(
+                        chunk * tier.slowdown / tier.read_bw
+                    )
             refs_n[tier_name][owner is not _OWNER_APP] += 1
             cell = ns_n[owner][tier_name]
             cell[0] += cost
@@ -537,8 +576,10 @@ class Kernel:
 
     def begin_access_batch(self) -> Optional["AccessBatch"]:
         """Open a deferred-advance charging window, or None when batching
-        is unavailable (legacy mode, NUMA hw-cache costs, or an attached
-        tracer, whose events must see exact per-event clock values)."""
+        is unavailable (``REPRO_NO_HOTPATH=1``, or an attached tracer,
+        whose events must see exact per-event clock values). NUMA mode
+        batches like two-tier: the node cost hook runs per access, in
+        order, inside the window."""
         if not self._flat or self.tracer is not None:
             return None
         return AccessBatch(self)
@@ -875,18 +916,30 @@ class AccessBatch:
             self.start = clock._now  # noqa: SLF001
             self.deadline = clock._next_deadline  # noqa: SLF001
         if obj.freed_at is not None:
+            if k._san is not None:  # noqa: SLF001 - same-module hot path
+                raise k._san.dead_object_error(obj)  # noqa: SLF001
             raise SimulationError(f"access to freed object {obj!r}")
         frame = obj.frame
         size = nbytes if nbytes is not None else obj.otype.size_bytes
         tier_name = frame.tier_name
         owner = frame.owner
-        tier = k._tiers[tier_name]  # noqa: SLF001 - same-module hot path
-        if write:
-            tier.bytes_written += size
-            cost = tier.write_latency_ns + int(size * tier.slowdown / tier.write_bw)
+        nodes = k._numa_nodes  # noqa: SLF001 - same-module hot path
+        if nodes is not None:
+            cost = nodes[tier_name].access_cost_ns(
+                frame.fid, size, write=write, from_node=k.task_node
+            )
         else:
-            tier.bytes_read += size
-            cost = tier.read_latency_ns + int(size * tier.slowdown / tier.read_bw)
+            tier = k._tiers[tier_name]  # noqa: SLF001 - same-module hot path
+            if write:
+                tier.bytes_written += size
+                cost = tier.write_latency_ns + int(
+                    size * tier.slowdown / tier.write_bw
+                )
+            else:
+                tier.bytes_read += size
+                cost = tier.read_latency_ns + int(
+                    size * tier.slowdown / tier.read_bw
+                )
         k._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1  # noqa: SLF001
         cell = k._access_ns_n[owner][tier_name]  # noqa: SLF001
         cell[0] += cost

@@ -40,6 +40,7 @@ class Process:
             # Stable containers bound once for the inlined charge body
             # (none are ever reassigned by the kernel).
             self._tiers = kernel._tiers  # noqa: SLF001
+            self._numa_nodes = kernel._numa_nodes  # noqa: SLF001
             self._refs_by_tier_n = kernel._refs_by_tier_n  # noqa: SLF001
             self._access_ns_n = kernel._access_ns_n  # noqa: SLF001
             self._refs_by_owner = kernel.refs_by_owner
@@ -130,17 +131,23 @@ class Process:
             k = self.kernel
             tier_name = frame.tier_name
             owner = frame.owner
-            tier = self._tiers[tier_name]
-            if write:
-                tier.bytes_written += nbytes
-                cost = tier.write_latency_ns + int(
-                    nbytes * tier.slowdown / tier.write_bw
+            nodes = self._numa_nodes
+            if nodes is not None:
+                cost = nodes[tier_name].access_cost_ns(
+                    frame.fid, nbytes, write=write, from_node=k.task_node
                 )
             else:
-                tier.bytes_read += nbytes
-                cost = tier.read_latency_ns + int(
-                    nbytes * tier.slowdown / tier.read_bw
-                )
+                tier = self._tiers[tier_name]
+                if write:
+                    tier.bytes_written += nbytes
+                    cost = tier.write_latency_ns + int(
+                        nbytes * tier.slowdown / tier.write_bw
+                    )
+                else:
+                    tier.bytes_read += nbytes
+                    cost = tier.read_latency_ns + int(
+                        nbytes * tier.slowdown / tier.read_bw
+                    )
             self._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1
             cell = self._access_ns_n[owner][tier_name]
             cell[0] += cost

@@ -43,7 +43,15 @@ class HardwareDRAMCache:
         return False
 
     def invalidate(self, fid: int) -> None:
-        """Drop a page (e.g. after it is freed or migrated off-node)."""
+        """Drop a page (e.g. after it is freed or migrated off-node).
+
+        Nothing in the simulator calls this today: neither the frame free
+        path nor migration invalidates the cache. Frame ids are never
+        reused, so a freed or migrated-away fid cannot produce a false
+        hit; it just stays resident, occupying a slot, until LRU eviction
+        pushes it out. Wiring invalidation in changes hit rates and hence
+        simulated results, so it needs a ``SIM_VERSION`` bump.
+        """
         self._resident.pop(fid, None)
 
     def hit_rate(self) -> float:

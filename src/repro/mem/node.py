@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.hotpath import hot
 from repro.core.units import NS
 from repro.mem.hwcache import HardwareDRAMCache
 from repro.mem.tier import MemoryTier
@@ -40,6 +41,7 @@ class NumaNode:
         self.local_accesses = 0
         self.remote_accesses = 0
 
+    @hot
     def access_cost_ns(
         self, fid: int, nbytes: int, *, write: bool, from_node: int
     ) -> int:
@@ -48,6 +50,13 @@ class NumaNode:
         The DRAM cache is consulted first (hardware manages it regardless
         of which socket issues the access); remote requests then pay the
         interconnect premium on top of the service cost.
+
+        This is the Memory-Mode cost hook of the kernel's flat charge
+        path, so :meth:`HardwareDRAMCache.access` and
+        :meth:`MemoryTier.access_cost_ns` are inlined here — same
+        operands, same order, same counters. A hit is served by the DRAM
+        cache and never reaches the tier, so the tier's byte counters are
+        charged on misses only.
         """
         remote = from_node != self.node_id
         if remote:
@@ -55,13 +64,34 @@ class NumaNode:
         else:
             self.local_accesses += 1
 
-        if self.hw_cache is not None and self.hw_cache.access(fid):
-            slowdown = 1 + self.tier.contention_streams
+        tier = self.tier
+        cache = self.hw_cache
+        hit = False
+        if cache is not None:
+            # HardwareDRAMCache.access(fid), inlined:
+            resident = cache._resident  # noqa: SLF001 - inlined LRU probe
+            if fid in resident:
+                resident.move_to_end(fid)
+                cache.hits += 1
+                hit = True
+            else:
+                cache.misses += 1
+                resident[fid] = None
+                if len(resident) > cache.capacity_pages:
+                    resident.popitem(last=False)
+                    cache.evictions += 1
+
+        if hit:
             cost = DRAM_HIT_LATENCY_NS + int(
-                nbytes * slowdown / DRAM_HIT_BW_BYTES_PER_NS
+                nbytes * tier.slowdown / DRAM_HIT_BW_BYTES_PER_NS
             )
+        elif write:
+            # MemoryTier.access_cost_ns(nbytes, write=...), inlined:
+            tier.bytes_written += nbytes
+            cost = tier.write_latency_ns + int(nbytes * tier.slowdown / tier.write_bw)
         else:
-            cost = self.tier.access_cost_ns(nbytes, write=write)
+            tier.bytes_read += nbytes
+            cost = tier.read_latency_ns + int(nbytes * tier.slowdown / tier.read_bw)
 
         if remote:
             cost += REMOTE_LATENCY_NS + int(nbytes / INTERCONNECT_BW_BYTES_PER_NS)

@@ -16,7 +16,7 @@ the task to node 1. What happens next distinguishes the policies:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.units import MS
 from repro.mem.frame import PageFrame, PageOwner
@@ -53,6 +53,9 @@ class NumaPolicyBase(TieringPolicy):
         #: global frame table — bit-identical decisions, O(away residents)
         #: per wakeup. REPRO_NO_FRAME_INDEX=1 restores the global walk.
         self.use_index = frame_index_enabled()
+        #: Allocation order per home node, built once and indexed by
+        #: ``preferred_node()`` on every allocation. Shared and read-only.
+        self._orders = self._placement_orders()
 
     def node_tier(self, node: int) -> str:
         return f"node{node}"
@@ -60,15 +63,21 @@ class NumaPolicyBase(TieringPolicy):
     def preferred_node(self) -> int:
         return self.kernel.task_node
 
-    def tier_order_app(self, *, cpu: int = 0) -> List[str]:
-        home = self.preferred_node()
-        return [self.node_tier(home), self.node_tier(1 - home)]
+    def _placement_orders(self) -> Tuple[Tuple[str, str], ...]:
+        """Home socket first, then the other one, for home = 0 and 1."""
+        return tuple(
+            (self.node_tier(home), self.node_tier(1 - home)) for home in (0, 1)
+        )
 
-    def tier_order_kernel(self, otype, inode, *, covered: bool, cpu: int = 0) -> List[str]:
+    def tier_order_app(self, *, cpu: int = 0) -> Sequence[str]:
+        return self._orders[self.preferred_node()]
+
+    def tier_order_kernel(
+        self, otype, inode, *, covered: bool, cpu: int = 0
+    ) -> Sequence[str]:
         # Modern OSes allocate kernel objects on the allocating CPU's
         # socket (§3.3) — which is the task's current socket here.
-        home = self.preferred_node()
-        return [self.node_tier(home), self.node_tier(1 - home)]
+        return self._orders[self.preferred_node()]
 
     def start_daemons(self) -> None:
         if self._started or self.migrate_owners is None:
@@ -124,13 +133,11 @@ class NumaAllRemote(NumaPolicyBase):
 
     name = "all_remote"
 
-    def tier_order_app(self, *, cpu: int = 0) -> List[str]:
-        away = 1 - self.preferred_node()
-        return [self.node_tier(away), self.node_tier(1 - away)]
-
-    def tier_order_kernel(self, otype, inode, *, covered: bool, cpu: int = 0) -> List[str]:
-        away = 1 - self.preferred_node()
-        return [self.node_tier(away), self.node_tier(1 - away)]
+    def _placement_orders(self) -> Tuple[Tuple[str, str], ...]:
+        """The socket away from home first, for home = 0 and 1."""
+        return tuple(
+            (self.node_tier(1 - home), self.node_tier(home)) for home in (0, 1)
+        )
 
 
 class NumaAllLocal(NumaPolicyBase):

@@ -8,7 +8,7 @@ daemons (LRU scans, migration threads) when attached.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.core.objtypes import KernelObjectType
@@ -48,8 +48,9 @@ class TieringPolicy:
     # placement
     # ------------------------------------------------------------------
 
-    def tier_order_app(self, *, cpu: int = 0) -> List[str]:
-        """Allocation order for application pages."""
+    def tier_order_app(self, *, cpu: int = 0) -> Sequence[str]:
+        """Allocation order for application pages (read-only: policies
+        may hand out one shared sequence)."""
         return ["fast", "slow"]
 
     def tier_order_kernel(
@@ -59,8 +60,9 @@ class TieringPolicy:
         *,
         covered: bool,
         cpu: int = 0,
-    ) -> List[str]:
-        """Allocation order for a kernel object.
+    ) -> Sequence[str]:
+        """Allocation order for a kernel object (read-only, like
+        :meth:`tier_order_app`).
 
         ``covered`` is True when the object type is inside the KLOC
         registry's coverage *and* the policy uses KLOCs.

@@ -54,12 +54,22 @@ class TestTwoTierSanitizeEquivalence:
         assert sanitized == plain
 
 
+def _optane_both_modes(monkeypatch, workload, policy):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    plain = run_optane_interference(workload, policy, TINY)
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    sanitized = run_optane_interference(workload, policy, TINY)
+    return plain, sanitized
+
+
 class TestOptaneSanitizeEquivalence:
-    @pytest.mark.parametrize("policy", ["autonuma", "all_local"])
+    @pytest.mark.parametrize("policy", ["autonuma", "all_local", "all_remote"])
     def test_interference_run(self, monkeypatch, policy):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        plain = run_optane_interference("cassandra", policy, TINY)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        sanitized = run_optane_interference("cassandra", policy, TINY)
+        plain, sanitized = _optane_both_modes(monkeypatch, "cassandra", policy)
+        assert sanitized == plain
+
+    @pytest.mark.parametrize("policy", ["autonuma", "all_local", "all_remote"])
+    def test_redis_interference_run(self, monkeypatch, policy):
+        plain, sanitized = _optane_both_modes(monkeypatch, "redis", policy)
         assert sanitized == plain

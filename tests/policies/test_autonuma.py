@@ -36,6 +36,40 @@ class TestPlacement:
         assert kernel.alloc_app_pages(1)[0].tier_name == "node0"
 
 
+class TestTierOrders:
+    """The NUMA placement orders, pinned (home-first vs away-first)."""
+
+    @staticmethod
+    def _orders(policy):
+        from repro.core.objtypes import KernelObjectType
+
+        app = policy.tier_order_app()
+        kern = policy.tier_order_kernel(
+            KernelObjectType.SOCK, None, covered=False
+        )
+        return list(app), list(kern)
+
+    def test_autonuma_is_home_first_before_and_after_move(self):
+        kernel, policy = build_optane_kernel("autonuma", scale_factor=SCALE)
+        assert self._orders(policy) == (["node0", "node1"], ["node0", "node1"])
+        kernel.set_task_node(1)
+        assert self._orders(policy) == (["node1", "node0"], ["node1", "node0"])
+
+    def test_all_remote_is_away_first(self):
+        kernel, policy = build_optane_kernel("all_remote", scale_factor=SCALE)
+        assert self._orders(policy) == (["node1", "node0"], ["node1", "node0"])
+        kernel.set_task_node(1)
+        assert self._orders(policy) == (["node0", "node1"], ["node0", "node1"])
+
+    def test_orders_are_precomputed(self):
+        kernel, policy = build_optane_kernel("klocs", scale_factor=SCALE)
+        assert policy.tier_order_app() is policy.tier_order_app()
+        kernel.set_task_node(1)
+        assert policy.tier_order_app() is policy.tier_order_kernel(
+            None, None, covered=True
+        )
+
+
 class TestMigrationAfterMove:
     def test_autonuma_moves_app_not_kernel(self):
         kernel, policy = build_optane_kernel("autonuma", scale_factor=SCALE)
