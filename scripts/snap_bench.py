@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Warm-start benchmark: snapshot-restored sweeps vs. cold setup replays.
 
-``op_bench.py`` times the measurement loop; this bench times the part
-snapshots eliminate — the **setup phase**. The measured job is a
-fig5b-style sweep (rocksdb under every placement policy, across an ops
-ladder): with snapshots disabled every cell replays the full load phase,
-with snapshots enabled only the first cell per (workload, policy) pays
-it and every later ops point restores the warmed kernel from the store.
+This bench times the part snapshots eliminate — the **setup phase**.
+The measured job is a fig5b-style sweep (rocksdb under every placement
+policy, across an ops ladder): with snapshots disabled every cell
+replays the full load phase, with snapshots enabled only the first cell
+per (workload, policy) pays it and every later ops point restores the
+warmed kernel from the store.
 The snapshot store starts empty in both modes, so the warm number is the
 honest first-invocation cost — cold setups for the first ladder rung,
 restores for the rest.

@@ -9,12 +9,13 @@ implementation, and tests use lightweight fakes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Protocol
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 if TYPE_CHECKING:
     from repro.alloc.base import KernelObject
     from repro.core.clock import Clock
     from repro.core.objtypes import KernelObjectType
+    from repro.kernel.kernel import AccessBatch
     from repro.mem.frame import PageFrame
     from repro.vfs.inode import Inode
 
@@ -61,6 +62,25 @@ class KernelContext(Protocol):
         self, frame: "PageFrame", nbytes: int, *, write: bool = False, cpu: int = 0
     ) -> int:
         """One reference to a raw frame (application pages)."""
+        ...
+
+    def access_frames(
+        self,
+        frames: Sequence["PageFrame"],
+        nbytes: int,
+        *,
+        write: bool = False,
+        cpu: int = 0,
+    ) -> int:
+        """References to a run of frames, ``nbytes`` split ``PAGE_SIZE``
+        per frame in order — the same charges as an ``access_frame`` loop,
+        with the clock advances coalesced."""
+        ...
+
+    def begin_access_batch(self) -> "AccessBatch":
+        """A deferred-advance window for a loop of object accesses and
+        frees (``access_object``, ``free_object``; ``sync`` before other
+        clock work, ``close`` at the end)."""
         ...
 
     # -- application memory ----------------------------------------------

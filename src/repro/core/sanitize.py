@@ -32,7 +32,7 @@ The mode is **behavior-preserving**: checks read state, they never
 advance the clock or mutate counters, so a sanitized run's payload is
 bit-identical to a plain run (enforced by
 ``tests/experiments/test_sanitize_equivalence.py``). It runs the same
-flat charge paths as production: each one already tests liveness before
+charge paths as plain runs: each one already tests liveness before
 charging, and builds the sanitizer's use-after-free diagnostic only on
 that raise branch, so a live access pays nothing for the mode. Like the
 other ``REPRO_*`` knobs, the flag is read at construction time only.

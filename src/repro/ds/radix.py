@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.hotpath import hotpath_enabled
-
 #: Linux uses 6-bit fanout (64 slots per node).
 RADIX_SHIFT = 6
 RADIX_SLOTS = 1 << RADIX_SHIFT
@@ -45,7 +43,6 @@ class RadixTree:
         self._root: Optional[_RadixNode] = None
         self._height_shift = 0  # shift of the root node
         self._size = 0
-        self._hot = hotpath_enabled()
         self._on_alloc = on_node_alloc
         self._on_free = on_node_free
         self.node_count = 0
@@ -164,14 +161,10 @@ class RadixTree:
         One flat generator with an explicit stack — the recursive
         ``yield from`` formulation resumes depth-many generators per
         yielded page, which dominates full-tree walks (``PageCache.pages``
-        on unlink, fsck audits). ``REPRO_NO_HOTPATH=1`` keeps the
-        recursive walk (same order).
+        on unlink, fsck audits).
         """
         root = self._root
         if root is None:
-            return
-        if not self._hot:
-            yield from self._walk(root, 0)
             return
         stack = [(root, 0)]
         while stack:
@@ -184,14 +177,6 @@ class RadixTree:
             else:
                 for slot in sorted(slots):
                     yield prefix | slot, slots[slot]
-
-    def _walk(self, node: _RadixNode, prefix: int) -> Iterator[Tuple[int, Any]]:
-        if node.shift > 0:
-            for slot in sorted(node.slots):
-                yield from self._walk(node.slots[slot], prefix | (slot << node.shift))
-        else:
-            for slot in sorted(node.slots):
-                yield prefix | slot, node.slots[slot]
 
     def mean_lookup_hops(self) -> float:
         return self.lookup_hops / self.lookups if self.lookups else 0.0

@@ -20,7 +20,7 @@ from repro.alloc.vmalloc import VmallocAllocator
 from repro.core.clock import Clock
 from repro.core.config import PlatformSpec
 from repro.core.errors import AllocationError, SimulationError
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.objtypes import AllocatorKind, KernelObjectType
 from repro.core.rng import DeterministicRNG
 from repro.core.units import PAGE_SIZE
@@ -140,10 +140,10 @@ class Kernel:
             self.kloc_manager.note_access if self.kloc_manager is not None else None
         )
 
-        #: Per-node cost hook for the flat charge sites: in NUMA mode each
-        #: access is priced by ``NumaNode.access_cost_ns`` (hardware DRAM
-        #: cache probe, PMEM miss cost, interconnect premium); None on
-        #: two-tier platforms, where the sites inline the tier cost.
+        #: Per-node cost hook for :meth:`_charge`: in NUMA mode each access
+        #: is priced by ``NumaNode.access_cost_ns`` (hardware DRAM cache
+        #: probe, PMEM miss cost, interconnect premium); None on two-tier
+        #: platforms, where ``_charge`` inlines the tier cost.
         self._numa_nodes: Optional[Dict[str, NumaNode]] = (
             self.nodes if self.numa_mode else None
         )
@@ -154,30 +154,24 @@ class Kernel:
         self.app_refs = 0
         self.app_ref_bytes = 0
         self.refs_by_owner: Dict[PageOwner, int] = {o: 0 for o in PageOwner}
-        # Reference attribution storage. Flat mode (the default, on every
-        # platform and under REPRO_SANITIZE=1) preallocates nested
-        # counters for every tier × owner pair so the charge path is
-        # ``d[k] += v`` with no tuple allocation or ``.get()``; the legacy
-        # tuple-keyed dicts are kept behind ``REPRO_NO_HOTPATH=1``.
-        # ``refs_by_tier`` and ``access_ns_by`` are exposed as properties
-        # that materialize the same dicts either way. The sanitizer rides
-        # the flat path: its use-after-free diagnostics are built only on
-        # the raise branches, so a live access pays nothing for it.
-        self._flat = hotpath_enabled()
+        # Reference attribution storage: nested counters preallocated for
+        # every tier × owner pair, so the charge path is ``d[k] += v`` with
+        # no tuple allocation or ``.get()``. ``refs_by_tier`` and
+        # ``access_ns_by`` are properties that materialize the tuple-keyed
+        # dicts for reporting. The sanitizer's use-after-free diagnostics
+        # are built only on the raise branches, so a live access pays
+        # nothing for it.
         tier_names = [platform.fast.name, platform.slow.name]
         #: tier → [app_refs, kernel_refs]; indexed by ``owner is not APP``.
         self._refs_by_tier_n: Dict[str, List[int]] = {
             t: [0, 0] for t in tier_names
         }
         #: owner → tier → [cumulative ns, access count]. The count decides
-        #: which keys the materialized dict contains (a zero-cost access
-        #: must still create its key, exactly like the legacy dict).
+        #: which keys the materialized dict contains: a zero-cost access
+        #: must still create its key.
         self._access_ns_n: Dict[PageOwner, Dict[str, List[int]]] = {
             o: {t: [0, 0] for t in tier_names} for o in PageOwner
         }
-        #: Legacy tuple-keyed dicts (REPRO_NO_HOTPATH=1).
-        self._refs_by_tier_d: Dict[tuple, int] = {}
-        self._access_ns_d: Dict[tuple, int] = {}
         self.storage_ns_total = 0
         self.background_ns_total = 0
         #: Optional tracepoint sink (repro.core.trace.Tracer); costs one
@@ -266,7 +260,7 @@ class Kernel:
         :class:`AccessBatch`: the free executes at that virtual time and
         the allocator's (constant) CPU cost is *returned* instead of
         advanced — the batch owns the coalesced advance. Plain calls
-        (``now_ns=None``) keep the legacy advance inside the allocator.
+        (``now_ns=None``) advance the clock inside the allocator.
         """
         if now_ns is None:
             if self.tracer is not None:
@@ -285,8 +279,12 @@ class Kernel:
             else:
                 self.page_alloc.free_object(obj)
             return None
-        # Deferred variant: only reachable from AccessBatch, which is never
-        # handed out while a tracer is attached.
+        # Deferred variant (AccessBatch): the free happens at ``now_ns``,
+        # the virtual time a per-access loop would read from the clock.
+        if self.tracer is not None:
+            self.tracer.emit(
+                now_ns, "free", obj.otype.name, lifetime_ns=obj.lifetime_ns(now_ns)
+            )
         if self.kloc_manager is not None and obj.knode_id is not None:
             self.kloc_manager.remove_object(obj, cpu=cpu)
         if obj.allocator == "slab":
@@ -300,106 +298,18 @@ class Kernel:
     # ------------------------------------------------------------------
 
     @hot
-    def access_object(
-        self,
-        obj: KernelObject,
-        nbytes: Optional[int] = None,
-        *,
-        write: bool = False,
-        cpu: int = 0,
-    ) -> int:
-        if not self._flat:
-            if not obj.live:
-                if self._san is not None:
-                    raise self._san.dead_object_error(obj)
-                raise SimulationError(f"access to freed object {obj!r}")
-            frame = obj.frame
-            size = nbytes if nbytes is not None else obj.size_bytes
-            cost = self._charge_access(frame, size, write=write)
-            self.kernel_refs += 1
-            self.kernel_ref_bytes += size
-            self.refs_by_owner[frame.owner] += 1
-            if self.kloc_manager is not None and obj.knode_id is not None:
-                self.kloc_manager.note_access(obj, cpu=cpu)
-            return cost
-        # Flat path: the whole charge sequence inlined — same operations,
-        # same order, no helper-call overhead per reference.
-        if obj.freed_at is not None:
-            if self._san is not None:
-                raise self._san.dead_object_error(obj)
-            raise SimulationError(f"access to freed object {obj!r}")
-        frame = obj.frame
-        size = nbytes if nbytes is not None else obj.otype.size_bytes
-        tier_name = frame.tier_name
-        owner = frame.owner
-        nodes = self._numa_nodes
-        if nodes is not None:
-            cost = nodes[tier_name].access_cost_ns(
-                frame.fid, size, write=write, from_node=self.task_node
-            )
-        else:
-            tier = self._tiers[tier_name]
-            if write:
-                tier.bytes_written += size
-                cost = tier.write_latency_ns + int(
-                    size * tier.slowdown / tier.write_bw
-                )
-            else:
-                tier.bytes_read += size
-                cost = tier.read_latency_ns + int(
-                    size * tier.slowdown / tier.read_bw
-                )
-        self._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1
-        cell = self._access_ns_n[owner][tier_name]
-        cell[0] += cost
-        cell[1] += 1
-        clock = self.clock
-        # frame.record_access(clock.now(), write=write), inlined:
-        frame.last_access = clock._now  # noqa: SLF001 - hot-path read
-        frame.lru_age = 0
-        journal = frame.journal
-        if journal is not None:
-            journal[frame.fid] = frame
-        if write:
-            frame.writes += 1
-            frame.dirty = True
-        else:
-            frame.reads += 1
-        # clock.advance(cost), inlined (cost >= 0 by construction):
-        clock._now = now = clock._now + cost  # noqa: SLF001
-        if now >= clock._next_deadline:  # noqa: SLF001
-            clock._fire_due()  # noqa: SLF001
-        self.kernel_refs += 1
-        self.kernel_ref_bytes += size
-        self.refs_by_owner[owner] += 1
-        note_access = self._note_access
-        if note_access is not None and obj.knode_id is not None:
-            note_access(obj, cpu=cpu)
-        return cost
+    def _charge(self, frame: PageFrame, nbytes: int, write: bool, t: int) -> int:
+        """Price one access to ``frame`` and record it at virtual time ``t``.
 
-    @hot
-    def access_frame(
-        self, frame: PageFrame, nbytes: int, *, write: bool = False, cpu: int = 0
-    ) -> int:
-        if not self._flat:
-            if not frame.live:
-                if self._san is not None:
-                    raise self._san.dead_frame_error(frame)
-                raise SimulationError(f"access to freed frame {frame!r}")
-            cost = self._charge_access(frame, nbytes, write=write)
-            owner = frame.owner
-            if owner is PageOwner.APP:
-                self.app_refs += 1
-                self.app_ref_bytes += nbytes
-            else:
-                self.kernel_refs += 1
-                self.kernel_ref_bytes += nbytes
-            self.refs_by_owner[owner] += 1
-            return cost
-        if frame.freed_at is not None:
-            if self._san is not None:
-                raise self._san.dead_frame_error(frame)
-            raise SimulationError(f"access to freed frame {frame!r}")
+        The single charge primitive every access site goes through: the
+        tier cost (or, in NUMA mode, the ``NumaNode.access_cost_ns`` hook:
+        hardware DRAM cache probe, PMEM miss cost, interconnect premium),
+        the tier byte counters, the per-tier / per-owner reference and
+        access-time attribution, and the frame's access record stamped
+        with ``t``. It does not advance the clock: callers either advance
+        it at once or defer the advance inside a batching window, which
+        is why the timestamp is explicit.
+        """
         tier_name = frame.tier_name
         owner = frame.owner
         nodes = self._numa_nodes
@@ -423,8 +333,9 @@ class Kernel:
         cell = self._access_ns_n[owner][tier_name]
         cell[0] += cost
         cell[1] += 1
-        clock = self.clock
-        frame.last_access = clock._now  # noqa: SLF001 - hot-path read
+        self.refs_by_owner[owner] += 1
+        # frame.record_access(t, write=write), inlined:
+        frame.last_access = t
         frame.lru_age = 0
         journal = frame.journal
         if journal is not None:
@@ -434,17 +345,55 @@ class Kernel:
             frame.dirty = True
         else:
             frame.reads += 1
+        return cost
+
+    @hot
+    def access_object(
+        self,
+        obj: KernelObject,
+        nbytes: Optional[int] = None,
+        *,
+        write: bool = False,
+        cpu: int = 0,
+    ) -> int:
+        if obj.freed_at is not None:
+            if self._san is not None:
+                raise self._san.dead_object_error(obj)
+            raise SimulationError(f"access to freed object {obj!r}")
+        size = nbytes if nbytes is not None else obj.otype.size_bytes
+        clock = self.clock
+        cost = self._charge(obj.frame, size, write, clock._now)  # noqa: SLF001
         # clock.advance(cost), inlined (cost >= 0 by construction):
         clock._now = now = clock._now + cost  # noqa: SLF001
         if now >= clock._next_deadline:  # noqa: SLF001
             clock._fire_due()  # noqa: SLF001
-        if owner is _OWNER_APP:
+        self.kernel_refs += 1
+        self.kernel_ref_bytes += size
+        note_access = self._note_access
+        if note_access is not None and obj.knode_id is not None:
+            note_access(obj, cpu=cpu)
+        return cost
+
+    @hot
+    def access_frame(
+        self, frame: PageFrame, nbytes: int, *, write: bool = False, cpu: int = 0
+    ) -> int:
+        if frame.freed_at is not None:
+            if self._san is not None:
+                raise self._san.dead_frame_error(frame)
+            raise SimulationError(f"access to freed frame {frame!r}")
+        clock = self.clock
+        cost = self._charge(frame, nbytes, write, clock._now)  # noqa: SLF001
+        # clock.advance(cost), inlined (cost >= 0 by construction):
+        clock._now = now = clock._now + cost  # noqa: SLF001
+        if now >= clock._next_deadline:  # noqa: SLF001
+            clock._fire_due()  # noqa: SLF001
+        if frame.owner is _OWNER_APP:
             self.app_refs += 1
             self.app_ref_bytes += nbytes
         else:
             self.kernel_refs += 1
             self.kernel_ref_bytes += nbytes
-        self.refs_by_owner[owner] += 1
         return cost
 
     @hot
@@ -460,39 +409,20 @@ class Kernel:
 
         Chunks ``nbytes`` across ``frames`` in order (PAGE_SIZE per frame,
         the remainder on the last) — the shape of :meth:`Process.touch`'s
-        loop. All bookkeeping (tier byte counters, reference attribution,
-        per-frame access records with exact per-access timestamps) happens
-        per frame in the legacy order; only ``Clock.advance`` is deferred
+        loop. Every frame is charged by :meth:`_charge` in run order at its
+        exact per-access virtual time; only ``Clock.advance`` is deferred
         and coalesced. An access is deferred only while
         ``now + pending + cost < clock.next_deadline_ns`` — no daemon can
         fire inside that span, so the single flush advance is
         indistinguishable from per-frame advances. An access that would
         cross the deadline flushes the pending time (still strictly before
         the deadline, so nothing fires early) and is charged with a real
-        per-frame advance, which fires daemons exactly when the legacy
-        loop would. Costs are computed per frame in run order, so the
-        stateful NUMA cost hook (the hardware DRAM cache's LRU, the
-        per-node local/remote counters) sees exactly the per-frame
-        sequence: batching reorders no access, it only defers the advance.
-        With ``REPRO_NO_HOTPATH=1`` this is a plain loop over
-        :meth:`access_frame`.
+        per-frame advance, which fires daemons exactly when a per-frame
+        loop would. Batching reorders no access, so the stateful NUMA cost
+        hook (the hardware DRAM cache's LRU, the per-node local/remote
+        counters) sees exactly the per-frame sequence.
         """
-        if not self._flat:
-            total = 0
-            remaining = nbytes
-            for frame in frames:
-                if remaining <= 0:
-                    break
-                chunk = PAGE_SIZE if remaining >= PAGE_SIZE else remaining
-                total += self.access_frame(frame, chunk, write=write, cpu=cpu)
-                remaining -= chunk
-            return total
         clock = self.clock
-        tiers = self._tiers
-        nodes = self._numa_nodes
-        refs_n = self._refs_by_tier_n
-        ns_n = self._access_ns_n
-        refs_by_owner = self.refs_by_owner
         start = clock._now  # noqa: SLF001 - hot-path read
         deadline = clock._next_deadline  # noqa: SLF001 - hot-path read
         pending = 0
@@ -511,61 +441,27 @@ class Kernel:
                 if self._san is not None:
                     raise self._san.dead_frame_error(frame)
                 raise SimulationError(f"access to freed frame {frame!r}")
-            tier_name = frame.tier_name
-            owner = frame.owner
-            if nodes is not None:
-                cost = nodes[tier_name].access_cost_ns(
-                    frame.fid, chunk, write=write, from_node=self.task_node
-                )
-            else:
-                tier = tiers[tier_name]
-                if write:
-                    tier.bytes_written += chunk
-                    cost = tier.write_latency_ns + int(
-                        chunk * tier.slowdown / tier.write_bw
-                    )
-                else:
-                    tier.bytes_read += chunk
-                    cost = tier.read_latency_ns + int(
-                        chunk * tier.slowdown / tier.read_bw
-                    )
-            refs_n[tier_name][owner is not _OWNER_APP] += 1
-            cell = ns_n[owner][tier_name]
-            cell[0] += cost
-            cell[1] += 1
             t = start + pending
-            boundary = t + cost >= deadline
-            if boundary and pending:
-                # Flush the deferred span: lands strictly before the
-                # deadline, so nothing fires ahead of legacy order.
-                clock.advance(pending)
-                pending = 0
-            frame.last_access = t
-            frame.lru_age = 0
-            journal = frame.journal
-            if journal is not None:
-                journal[frame.fid] = frame
-            if write:
-                frame.writes += 1
-                frame.dirty = True
+            cost = self._charge(frame, chunk, write, t)
+            if t + cost < deadline:
+                pending += cost
             else:
-                frame.reads += 1
-            if boundary:
-                # Real advance: daemons fire exactly as in the per-frame
-                # loop; rebase the window on the post-firing clock state.
+                # Flush the deferred span (it lands strictly before the
+                # deadline), then advance for real: daemons fire exactly
+                # as in the per-frame loop; rebase on the post-firing clock.
+                if pending:
+                    clock.advance(pending)
+                    pending = 0
                 clock.advance(cost)
                 start = clock._now  # noqa: SLF001
                 deadline = clock._next_deadline  # noqa: SLF001
-            else:
-                pending += cost
             total += cost
-            if owner is _OWNER_APP:
+            if frame.owner is _OWNER_APP:
                 app_refs += 1
                 app_bytes += chunk
             else:
                 kern_refs += 1
                 kern_bytes += chunk
-            refs_by_owner[owner] += 1
         if pending:
             clock.advance(pending)
         self.app_refs += app_refs
@@ -574,36 +470,12 @@ class Kernel:
         self.kernel_ref_bytes += kern_bytes
         return total
 
-    def begin_access_batch(self) -> Optional["AccessBatch"]:
-        """Open a deferred-advance charging window, or None when batching
-        is unavailable (``REPRO_NO_HOTPATH=1``, or an attached tracer,
-        whose events must see exact per-event clock values). NUMA mode
-        batches like two-tier: the node cost hook runs per access, in
-        order, inside the window."""
-        if not self._flat or self.tracer is not None:
-            return None
-        return AccessBatch(self)
+    def begin_access_batch(self) -> "AccessBatch":
+        """Open a deferred-advance charging window (see :class:`AccessBatch`).
 
-    @hot
-    def _charge_access(self, frame: PageFrame, nbytes: int, *, write: bool) -> int:
-        tier_name = frame.tier_name
-        owner = frame.owner
-        if self.numa_mode:
-            cost = self.nodes[tier_name].access_cost_ns(
-                frame.fid, nbytes, write=write, from_node=self.task_node
-            )
-        else:
-            cost = self._tiers[tier_name].access_cost_ns(nbytes, write=write)
-        refs_by_tier = self._refs_by_tier_d
-        key = (tier_name, owner is not PageOwner.APP)
-        refs_by_tier[key] = refs_by_tier.get(key, 0) + 1
-        access_ns_by = self._access_ns_d
-        cost_key = (owner, tier_name)
-        access_ns_by[cost_key] = access_ns_by.get(cost_key, 0) + cost
-        clock = self.clock
-        frame.record_access(clock.now(), write=write)
-        clock.advance(cost)
-        return cost
+        Available in every mode, traced or not: tracepoints emitted inside
+        the window carry the exact per-access virtual time."""
+        return AccessBatch(self)
 
     # ------------------------------------------------------------------
     # KernelContext: application memory
@@ -743,11 +615,8 @@ class Kernel:
         """(tier_name, is_kernel) → reference count, for placement quality
         diagnostics (what fraction of traffic actually hit fast memory).
 
-        Materialized from the preallocated nested counters in flat mode;
-        the legacy tuple-keyed dict otherwise. Reporting-frequency only —
-        the hot path never builds this."""
-        if not self._flat:
-            return self._refs_by_tier_d
+        Materialized from the preallocated nested counters.
+        Reporting-frequency only — the hot path never builds this."""
         out: Dict[tuple, int] = {}
         for tier_name, counts in self._refs_by_tier_n.items():
             if counts[0]:
@@ -761,9 +630,7 @@ class Kernel:
         """(owner, tier) → cumulative access ns, for time decomposition.
 
         Keys exist for every pair that was accessed at least once (even at
-        zero cost), matching the legacy dict's key population."""
-        if not self._flat:
-            return self._access_ns_d
+        zero cost)."""
         out: Dict[tuple, int] = {}
         for owner, by_tier in self._access_ns_n.items():
             for tier_name, cell in by_tier.items():
@@ -778,22 +645,17 @@ class Kernel:
         self.kernel_ref_bytes = 0
         self.app_refs = 0
         self.app_ref_bytes = 0
-        # Zeroed in place: Process binds this dict for its inlined charge
-        # body, so the identity must survive resets (keys are always the
-        # full PageOwner population).
         for o in self.refs_by_owner:
             self.refs_by_owner[o] = 0
         for counts in self._refs_by_tier_n.values():
             counts[0] = 0
             counts[1] = 0
-        self._refs_by_tier_d = {}
         # Time decomposition must cover the same window as the reference
         # split, or steady-state reports silently include the load phase.
         for by_tier in self._access_ns_n.values():
             for cell in by_tier.values():
                 cell[0] = 0
                 cell[1] = 0
-        self._access_ns_d = {}
 
     def fast_ref_fraction(self, fast_tier: str = "fast") -> float:
         """Fraction of references served by the fast tier — the quantity
@@ -878,14 +740,15 @@ class AccessBatch:
     Opened via :meth:`Kernel.begin_access_batch` by loops that issue many
     small charges back-to-back (the page-cache read hit loop, the skb
     copy-to-user loop). Each access/free executes all of its bookkeeping
-    immediately, at its exact legacy virtual time (``start + pending``) —
-    access records, KLOC hotness timestamps, reference attribution — but
+    immediately, at the exact virtual time a per-access loop would see
+    (``start + pending``) — access records (:meth:`Kernel._charge`), KLOC
+    hotness timestamps, reference attribution, tracepoints — but
     the clock advance is accumulated and flushed once, which is legal
     precisely while ``start + pending + cost < next_deadline``: no daemon
     can fire inside that span, so per-item and coalesced advances are
     indistinguishable. An item that would cross the deadline flushes the
     pending span (still strictly before the deadline) and runs with a real
-    advance, firing daemons in legacy order.
+    advance, firing daemons in per-access order.
 
     Contract: callers must :meth:`sync` before doing any out-of-band clock
     work (block I/O, allocations, readahead) and :meth:`close` when the
@@ -919,59 +782,25 @@ class AccessBatch:
             if k._san is not None:  # noqa: SLF001 - same-module hot path
                 raise k._san.dead_object_error(obj)  # noqa: SLF001
             raise SimulationError(f"access to freed object {obj!r}")
-        frame = obj.frame
         size = nbytes if nbytes is not None else obj.otype.size_bytes
-        tier_name = frame.tier_name
-        owner = frame.owner
-        nodes = k._numa_nodes  # noqa: SLF001 - same-module hot path
-        if nodes is not None:
-            cost = nodes[tier_name].access_cost_ns(
-                frame.fid, size, write=write, from_node=k.task_node
-            )
-        else:
-            tier = k._tiers[tier_name]  # noqa: SLF001 - same-module hot path
-            if write:
-                tier.bytes_written += size
-                cost = tier.write_latency_ns + int(
-                    size * tier.slowdown / tier.write_bw
-                )
-            else:
-                tier.bytes_read += size
-                cost = tier.read_latency_ns + int(
-                    size * tier.slowdown / tier.read_bw
-                )
-        k._refs_by_tier_n[tier_name][owner is not _OWNER_APP] += 1  # noqa: SLF001
-        cell = k._access_ns_n[owner][tier_name]  # noqa: SLF001
-        cell[0] += cost
-        cell[1] += 1
         t = self.start + self.pending
+        cost = k._charge(obj.frame, size, write, t)  # noqa: SLF001
         deferred = t + cost < self.deadline
-        if not deferred and self.pending:
-            clock.advance(self.pending)  # strictly before the deadline
-            self.pending = 0
-        frame.last_access = t
-        frame.lru_age = 0
-        journal = frame.journal
-        if journal is not None:
-            journal[frame.fid] = frame
-        if write:
-            frame.writes += 1
-            frame.dirty = True
-        else:
-            frame.reads += 1
         if deferred:
             self.pending += cost
         else:
-            clock.advance(cost)  # may fire daemons, in legacy order
+            if self.pending:
+                clock.advance(self.pending)  # strictly before the deadline
+                self.pending = 0
+            clock.advance(cost)  # may fire daemons, in per-access order
             self.start = clock._now  # noqa: SLF001
             self.deadline = clock._next_deadline  # noqa: SLF001
         k.kernel_refs += 1
         k.kernel_ref_bytes += size
-        k.refs_by_owner[owner] += 1
         if k.kloc_manager is not None and obj.knode_id is not None:
             if deferred:
-                # Legacy stamps hotness with the post-advance clock; inside
-                # the window that is exactly t + cost.
+                # A per-access loop stamps hotness with the post-advance
+                # clock; inside the window that is exactly t + cost.
                 k.kloc_manager.note_access(obj, cpu=cpu, now_ns=t + cost)
             else:
                 k.kloc_manager.note_access(obj, cpu=cpu)
@@ -990,7 +819,7 @@ class AccessBatch:
         if self.pending:
             clock.advance(self.pending)
             self.pending = 0
-        clock.advance(cost)  # may fire daemons, in legacy order
+        clock.advance(cost)  # may fire daemons, in per-access order
         self.start = clock._now  # noqa: SLF001
         self.deadline = clock._next_deadline  # noqa: SLF001
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterator, List, Set
 
 from repro.alloc.base import KernelObject
-from repro.core.hotpath import hotpath_enabled
 from repro.core.objtypes import AllocatorKind
 from repro.ds.rbtree import NIL, RedBlackTree
 from repro.mem.frame import PageFrame
@@ -42,7 +41,6 @@ class Knode:
         self.created_at = created_at
         self.last_access = created_at
         self.peak_objects = 0
-        self._hot = hotpath_enabled()
 
     # ------------------------------------------------------------------
     # membership
@@ -127,20 +125,9 @@ class Knode:
         (cache tree first, as :meth:`iter_all` does) — the daemon calls
         this for every candidate knode per pass, and generator
         resumptions dominated the generator-based formulations.
-        ``REPRO_NO_HOTPATH=1`` keeps the :meth:`iter_all` chain (same
-        frames, same order).
         """
         seen: Set[int] = set()
         out: List[PageFrame] = []
-        if not self._hot:
-            for obj in self.iter_all():
-                frame = obj.frame
-                if frame.freed_at is None:
-                    fid = frame.fid
-                    if fid not in seen:
-                        seen.add(fid)
-                        out.append(frame)
-            return out
         for tree in (self.rbtree_cache, self.rbtree_slab):
             stack: List = []
             node = tree.root

@@ -21,7 +21,7 @@ from repro.alloc.base import KernelObject
 from repro.core.clock import Clock
 from repro.core.config import KLOCSpec
 from repro.core.errors import SimulationError
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.sanitize import Sanitizer
 from repro.kloc.kmap import KMap
 from repro.kloc.knode import KNODE_STRUCT_BYTES, RB_POINTER_BYTES, Knode
@@ -70,10 +70,9 @@ class KlocManager:
         #: never decrements ``_tracked_objects``. Counted here so the
         #: sanitizer's recomputation can balance the books exactly.
         self._orphaned_objects = 0
-        self._hot = hotpath_enabled()
         #: Live reference to the registry's coverage set (mutations in the
         #: registry stay visible) — hot-path coverage test without the
-        #: method call. Legacy mode keeps calling the registry.
+        #: method call.
         self._covered = self.registry._covered  # noqa: SLF001
         #: Bound ``KMap.get_uncounted`` equivalent (the id→knode shadow's
         #: ``.get``) — the hot lookups resolve pointers without a method
@@ -154,22 +153,16 @@ class KlocManager:
         the registry's coverage (excluded from the KLOC abstraction, as in
         Fig 5c's partial configurations).
         """
-        if self._hot:
-            if obj.otype not in self._covered:
-                return False
-        elif not self.registry.covered(obj.otype):
+        if obj.otype not in self._covered:
             return False
         knode = self.knode_for_inode(inode, cpu=cpu)
         if knode is None:
             return False
         obj.knode_id = knode.knode_id
         knode.add_obj(obj)
-        if self._hot:
-            # knode.touch(self.clock.now()), inlined.
-            knode.age = 0
-            knode.last_access = self.clock._now  # noqa: SLF001
-        else:
-            knode.touch(self.clock.now())
+        # knode.touch(self.clock.now()), inlined.
+        knode.age = 0
+        knode.last_access = self.clock._now  # noqa: SLF001
         self._tracked_objects += 1
         self._note_metadata()
         return True
@@ -179,47 +172,35 @@ class KlocManager:
         kid = obj.knode_id
         if kid is None:
             return False
-        if self._hot:
-            # Inlined lookup, as in note_access. The peak sample is
-            # needed only when the lookup *recorded* a new per-CPU entry:
-            # a hit followed by a removal strictly shrinks metadata, and
-            # every growth site samples, so the legacy call is a no-op
-            # there — observationally identical to skip.
-            percpu = self.percpu
-            lists = percpu.lists
-            if not 0 <= cpu < lists.num_cpus:
-                raise IndexError(
-                    f"cpu {cpu} out of range [0, {lists.num_cpus})"
-                )
-            lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
-            recorded = False
-            if kid in lst:
-                lst.move_to_end(kid)
-                lists.hits += 1
-                percpu.fast_hits += 1
-                knode = self._kmap_get(kid)
-            else:
-                lists.misses += 1
-                percpu.slow_lookups += 1
-                knode = self.kmap.lookup(kid)
-                if knode is not None:
-                    lists.record(cpu, kid)
-                    recorded = True
-            if knode is None:
-                return False
-            removed = knode.remove_obj(obj)
-            if removed:
-                self._tracked_objects -= 1
-                if recorded:
-                    self._note_metadata()
-            return removed
-        knode = self.percpu.lookup(kid, cpu=cpu)
+        # Inlined lookup, as in note_access. The peak sample is needed
+        # only when the lookup *recorded* a new per-CPU entry: a hit
+        # followed by a removal strictly shrinks metadata, and every
+        # growth site samples, so sampling there would be a no-op.
+        percpu = self.percpu
+        lists = percpu.lists
+        if not 0 <= cpu < lists.num_cpus:
+            raise IndexError(f"cpu {cpu} out of range [0, {lists.num_cpus})")
+        lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
+        recorded = False
+        if kid in lst:
+            lst.move_to_end(kid)
+            lists.hits += 1
+            percpu.fast_hits += 1
+            knode = self._kmap_get(kid)
+        else:
+            lists.misses += 1
+            percpu.slow_lookups += 1
+            knode = self.kmap.lookup(kid)
+            if knode is not None:
+                lists.record(cpu, kid)
+                recorded = True
         if knode is None:
             return False
         removed = knode.remove_obj(obj)
         if removed:
             self._tracked_objects -= 1
-            self._note_metadata()
+            if recorded:
+                self._note_metadata()
         return removed
 
     @hot
@@ -232,93 +213,72 @@ class KlocManager:
         virtual time instead of re-reading the clock (identical value —
         the caller reads the clock either way).
 
-        Hot-path note: after a successful :meth:`PerCPUKnodeCache.lookup`
-        the knode is already on ``cpu``'s list at the MRU end (a hit
-        refreshes recency; a miss records it), so the legacy trailing
-        ``percpu.note_access`` is a state- and counter-level no-op — the
-        flat path drops it. ``REPRO_NO_HOTPATH=1`` restores the call.
+        Hot-path note: after a successful per-CPU lookup the knode is
+        already on ``cpu``'s list at the MRU end (a hit refreshes recency;
+        a miss records it), so a trailing ``percpu.note_access`` would be
+        a state- and counter-level no-op; it is not made.
         """
         kid = obj.knode_id
         if kid is None:
             return
-        if self._hot:
-            # Fully inlined lookup (same counters, same recency refresh
-            # as PerCPUKnodeCache.lookup) — this is the single most
-            # frequent accounting call, one per charged object access.
-            percpu = self.percpu
-            lists = percpu.lists
-            if not 0 <= cpu < lists.num_cpus:
-                raise IndexError(
-                    f"cpu {cpu} out of range [0, {lists.num_cpus})"
+        # Fully inlined lookup (same counters, same recency refresh as
+        # PerCPUKnodeCache.lookup) — this is the single most frequent
+        # accounting call, one per charged object access.
+        percpu = self.percpu
+        lists = percpu.lists
+        if not 0 <= cpu < lists.num_cpus:
+            raise IndexError(f"cpu {cpu} out of range [0, {lists.num_cpus})")
+        lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
+        if kid in lst:
+            lst.move_to_end(kid)
+            lists.hits += 1
+            percpu.fast_hits += 1
+            knode = self._kmap_get(kid)
+        else:
+            lists.misses += 1
+            percpu.slow_lookups += 1
+            knode = self.kmap.lookup(kid)
+            if knode is not None:
+                lists.record(cpu, kid)
+                # _note_metadata(), inlined — only the recorded miss can
+                # grow metadata; on a hit a sample would be a no-op (every
+                # growth site already samples the peak).
+                size = (
+                    KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
+                    + RB_POINTER_BYTES * self._tracked_objects
+                    + lists.total_entries * 24
                 )
-            lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
-            if kid in lst:
-                lst.move_to_end(kid)
-                lists.hits += 1
-                percpu.fast_hits += 1
-                knode = self._kmap_get(kid)
-            else:
-                lists.misses += 1
-                percpu.slow_lookups += 1
-                knode = self.kmap.lookup(kid)
-                if knode is not None:
-                    lists.record(cpu, kid)
-                    # _note_metadata(), inlined — only the recorded miss
-                    # can grow metadata; on a hit the legacy sample is a
-                    # no-op (every growth site already samples the peak).
-                    size = (
-                        KNODE_STRUCT_BYTES
-                        * (self.knodes_created - self.knodes_deleted)
-                        + RB_POINTER_BYTES * self._tracked_objects
-                        + lists.total_entries * 24
-                    )
-                    if size > self.peak_metadata_bytes:
-                        self.peak_metadata_bytes = size
-            if knode is None:
-                return
-            knode.age = 0
-            knode.last_access = (
-                self.clock._now if now_ns is None else now_ns  # noqa: SLF001
-            )
+                if size > self.peak_metadata_bytes:
+                    self.peak_metadata_bytes = size
+        if knode is None:
             return
-        knode = self.percpu.lookup(kid, cpu=cpu)
-        if knode is not None:
-            now = self.clock.now() if now_ns is None else now_ns
-            knode.age = 0
-            knode.last_access = now
-            self.percpu.note_access(knode, cpu=cpu)
-            # A found lookup may have recorded a new per-CPU entry.
-            self._note_metadata()
+        knode.age = 0
+        if now_ns is None:
+            now_ns = self.clock._now  # noqa: SLF001 - hot-path read
+        knode.last_access = now_ns
 
     @hot
     def knode_for_inode(self, inode: Inode, *, cpu: int = 0) -> Optional[Knode]:
         kid = inode.knode_id
         if kid is None:
             return None
-        if self._hot:
-            # Inlined lookup; the peak sample matters only when the miss
-            # path recorded a new per-CPU entry (a hit changes nothing).
-            percpu = self.percpu
-            lists = percpu.lists
-            if not 0 <= cpu < lists.num_cpus:
-                raise IndexError(
-                    f"cpu {cpu} out of range [0, {lists.num_cpus})"
-                )
-            lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
-            if kid in lst:
-                lst.move_to_end(kid)
-                lists.hits += 1
-                percpu.fast_hits += 1
-                return self._kmap_get(kid)
-            lists.misses += 1
-            percpu.slow_lookups += 1
-            knode = self.kmap.lookup(kid)
-            if knode is not None:
-                lists.record(cpu, kid)
-                self._note_metadata()
-            return knode
-        knode = self.percpu.lookup(kid, cpu=cpu)
+        # Inlined lookup; the peak sample matters only when the miss path
+        # recorded a new per-CPU entry (a hit changes nothing).
+        percpu = self.percpu
+        lists = percpu.lists
+        if not 0 <= cpu < lists.num_cpus:
+            raise IndexError(f"cpu {cpu} out of range [0, {lists.num_cpus})")
+        lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
+        if kid in lst:
+            lst.move_to_end(kid)
+            lists.hits += 1
+            percpu.fast_hits += 1
+            return self._kmap_get(kid)
+        lists.misses += 1
+        percpu.slow_lookups += 1
+        knode = self.kmap.lookup(kid)
         if knode is not None:
+            lists.record(cpu, kid)
             self._note_metadata()
         return knode
 
@@ -347,20 +307,16 @@ class KlocManager:
         tracked-object count, or the per-CPU lists — not just object
         attach — so short runs no longer under-report the peak.
 
-        The hot path computes the size from maintained counters with no
-        calls at all: ``knodes_created - knodes_deleted`` is the kmap
-        population (knodes only leave via :meth:`delete_knode`), and the
-        per-CPU entry count is a live attribute. ``REPRO_NO_HOTPATH=1``
-        recomputes via :meth:`metadata_bytes`'s structure walks.
+        The size comes from maintained counters with no calls at all:
+        ``knodes_created - knodes_deleted`` is the kmap population (knodes
+        only leave via :meth:`delete_knode`), and the per-CPU entry count
+        is a live attribute.
         """
-        if self._hot:
-            size = (
-                KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
-                + RB_POINTER_BYTES * self._tracked_objects
-                + self.percpu.lists.total_entries * 24
-            )
-        else:
-            size = self.metadata_bytes()
+        size = (
+            KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
+            + RB_POINTER_BYTES * self._tracked_objects
+            + self.percpu.lists.total_entries * 24
+        )
         if size > self.peak_metadata_bytes:
             self.peak_metadata_bytes = size
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.ds.percpu import PerCPUListSet
 from repro.kloc.kmap import KMap
 from repro.kloc.knode import Knode
@@ -22,7 +22,6 @@ class PerCPUKnodeCache:
     def __init__(self, kmap: KMap, num_cpus: int, max_per_cpu: int) -> None:
         self.kmap = kmap
         self.lists: PerCPUListSet[int] = PerCPUListSet(num_cpus, max_per_cpu)
-        self._hot = hotpath_enabled()
         #: Bound id→knode shadow ``.get`` — hit-path pointer resolution
         #: without the :meth:`KMap.get_uncounted` call (same result, no
         #: counters either way).
@@ -40,26 +39,20 @@ class PerCPUKnodeCache:
         rbtree accesses, matching the paper's accounting, where the list
         entry holds the knode pointer directly.
 
-        The hot path inlines :meth:`PerCPUListSet.lookup`'s hit sequence
-        (deliberate friend access — same membership test, recency refresh,
-        and hit counter); ``REPRO_NO_HOTPATH=1`` keeps the layered calls.
+        Inlines :meth:`PerCPUListSet.lookup`'s hit sequence (deliberate
+        friend access — same membership test, recency refresh, and hit
+        counter).
         """
         lists = self.lists
-        if self._hot:
-            if not 0 <= cpu < lists.num_cpus:
-                raise IndexError(
-                    f"cpu {cpu} out of range [0, {lists.num_cpus})"
-                )
-            lst = lists._lists[cpu]  # noqa: SLF001 - hot-path friend access
-            if knode_id in lst:
-                lst.move_to_end(knode_id)
-                lists.hits += 1
-                self.fast_hits += 1
-                return self._kmap_get(knode_id)
-            lists.misses += 1
-        elif lists.lookup(cpu, knode_id):
+        if not 0 <= cpu < lists.num_cpus:
+            raise IndexError(f"cpu {cpu} out of range [0, {lists.num_cpus})")
+        lst = lists._lists[cpu]  # noqa: SLF001 - hot-path friend access
+        if knode_id in lst:
+            lst.move_to_end(knode_id)
+            lists.hits += 1
             self.fast_hits += 1
-            return self.kmap.get_uncounted(knode_id)
+            return self._kmap_get(knode_id)
+        lists.misses += 1
         self.slow_lookups += 1
         knode = self.kmap.lookup(knode_id)
         if knode is not None:
@@ -91,12 +84,9 @@ class PerCPUKnodeCache:
         """Per-CPU list entries: id + age + links ≈ 24B per entry.
 
         ``PerCPUListSet.total_entries`` is maintained incrementally, so
-        the hot path is pure arithmetic; ``REPRO_NO_HOTPATH=1`` restores
-        the every-list walk (same value, O(entries) cost).
+        this is pure arithmetic.
         """
-        if self._hot:
-            return self.lists.total_entries * 24
-        return sum(len(self.lists.entries(c)) for c in range(self.lists.num_cpus)) * 24
+        return self.lists.total_entries * 24
 
     def __repr__(self) -> str:
         return (

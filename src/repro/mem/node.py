@@ -51,12 +51,11 @@ class NumaNode:
         of which socket issues the access); remote requests then pay the
         interconnect premium on top of the service cost.
 
-        This is the Memory-Mode cost hook of the kernel's flat charge
-        path, so :meth:`HardwareDRAMCache.access` and
-        :meth:`MemoryTier.access_cost_ns` are inlined here — same
-        operands, same order, same counters. A hit is served by the DRAM
-        cache and never reaches the tier, so the tier's byte counters are
-        charged on misses only.
+        This is the Memory-Mode cost hook of ``Kernel._charge``, so
+        :meth:`HardwareDRAMCache.access` and :meth:`MemoryTier.access_cost_ns`
+        are inlined here — same operands, same order, same counters. A hit
+        is served by the DRAM cache and never reaches the tier, so the
+        tier's byte counters are charged on misses only.
         """
         remote = from_node != self.node_id
         if remote:

@@ -9,13 +9,12 @@ motivation and evaluation figures are built from.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict, deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.errors import AllocationError, SimulationError
 from repro.core.config import TierSpec
-from repro.core.hotpath import hot, hotpath_enabled
+from repro.core.hotpath import hot
 from repro.core.sanitize import Sanitizer, call_site, sanitize_enabled
 from repro.mem.frame import PageFrame, PageOwner
 from repro.mem.tier import MemoryTier
@@ -23,17 +22,6 @@ from repro.mem.tier import MemoryTier
 
 def _by_fid(frame: PageFrame) -> int:
     return frame.fid
-
-
-def frame_index_enabled() -> bool:  # simlint: config-site
-    """Whether scanners should use the resident-frame indexes.
-
-    ``REPRO_NO_FRAME_INDEX=1`` forces the brute-force global frame walk —
-    results are bit-identical either way (guarded by the equivalence
-    test); the knob exists for the scan benchmark's baseline and for
-    bisecting suspected index bugs.
-    """
-    return not os.environ.get("REPRO_NO_FRAME_INDEX")
 
 
 class MemoryTopology:
@@ -69,10 +57,6 @@ class MemoryTopology:
                 raise ValueError(f"duplicate tier name: {spec.name}")
             self.tiers[spec.name] = MemoryTier(spec)
         self._next_fid = 0
-        #: Hot-path flag for :meth:`allocate`'s single-page shortcut;
-        #: ``REPRO_NO_HOTPATH=1`` keeps the generic placement loop for
-        #: every allocation (same result, legacy cost).
-        self._single_fast = hotpath_enabled()
         #: The shared free-site ledger when ``REPRO_SANITIZE=1``; every
         #: allocator picks this up from the topology it is built on, and
         #: the kernel threads it into the KLOC manager — one coherent
@@ -130,7 +114,7 @@ class MemoryTopology:
         """
         if npages <= 0:
             raise ValueError(f"allocation must be positive: {npages}")
-        if npages == 1 and self._single_fast:
+        if npages == 1:
             # Single page (the per-object common case): first tier with a
             # free page wins — no partial-placement machinery needed.
             tiers = self.tiers

@@ -118,25 +118,13 @@ class NetworkStack:
         """Application reads everything queued; returns bytes consumed."""
         consumed = 0
         # The copy-to-user + free sequence per skb is pure charging work,
-        # so the whole drain can share one deferred-advance window when
-        # the kernel offers one.
-        begin = getattr(self.ctx, "begin_access_batch", None)
-        batch = begin() if begin is not None else None
-        if batch is None:
-            while True:
-                skb = socket.dequeue()
-                if skb is None:
-                    break
-                # Copy-to-user: the application reads the payload.
-                self.ctx.access_object(skb.data, skb.nbytes, cpu=cpu)
-                self.ctx.free_object(skb.header, cpu=cpu)
-                self.ctx.free_object(skb.data, cpu=cpu)
-                consumed += skb.nbytes
-            return consumed
+        # so the whole drain shares one deferred-advance window.
+        batch = self.ctx.begin_access_batch()
         while True:
             skb = socket.dequeue()
             if skb is None:
                 break
+            # Copy-to-user: the application reads the payload.
             batch.access_object(skb.data, skb.nbytes, cpu=cpu)
             batch.free_object(skb.header, cpu=cpu)
             batch.free_object(skb.data, cpu=cpu)

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.units import MS
 from repro.mem.frame import PageFrame, PageOwner
-from repro.mem.topology import frame_index_enabled
 from repro.policies.base import TieringPolicy
 
 
@@ -49,10 +48,6 @@ class NumaPolicyBase(TieringPolicy):
         self.migrated_app = 0
         self.migrated_kernel = 0
         self._started = False
-        #: Scan the per-(tier, owner) resident indexes instead of the
-        #: global frame table — bit-identical decisions, O(away residents)
-        #: per wakeup. REPRO_NO_FRAME_INDEX=1 restores the global walk.
-        self.use_index = frame_index_enabled()
         #: Allocation order per home node, built once and indexed by
         #: ``preferred_node()`` on every allocation. Shared and read-only.
         self._orders = self._placement_orders()
@@ -85,36 +80,37 @@ class NumaPolicyBase(TieringPolicy):
         self.kernel.clock.schedule_periodic(NUMA_SCAN_PERIOD_NS, self._scan)
         self._started = True
 
+    def _candidates(self, home_tier: str) -> List[PageFrame]:
+        """The misplaced frames one wakeup moves: relocatable frames of
+        the managed owners away from ``home_tier``, lowest fid first, at
+        most ``batch`` of them.
+
+        Only away-from-home residents can be misplaced, so the per-(tier,
+        owner) resident indexes hold every candidate; the fid sort gives
+        the order of a walk over the whole frame table (the reference
+        oracle in ``tests/policies/scan_oracles.py``) before the cut.
+        """
+        topo = self.kernel.topology
+        candidates: List[PageFrame] = []
+        for tier_name in topo.tiers:
+            if tier_name == home_tier:
+                continue
+            for owner in self.migrate_owners:
+                candidates.extend(
+                    frame
+                    for frame in topo.resident_frames_by_owner(
+                        tier_name, owner
+                    ).values()
+                    if frame.relocatable
+                )
+        candidates.sort(key=_by_fid)
+        del candidates[self.batch :]
+        return candidates
+
     def _scan(self, now_ns: int = 0) -> None:
         """Move misplaced frames toward the task's socket, batch-limited."""
         home_tier = self.node_tier(self.preferred_node())
-        topo = self.kernel.topology
-        candidates: List[PageFrame] = []
-        if self.use_index:
-            # Only away-from-home residents of the managed owners can be
-            # misplaced; the fid sort restores the global walk's encounter
-            # order before the batch cut.
-            for tier_name in topo.tiers:
-                if tier_name == home_tier:
-                    continue
-                for owner in self.migrate_owners:
-                    candidates.extend(
-                        frame
-                        for frame in topo.resident_frames_by_owner(
-                            tier_name, owner
-                        ).values()
-                        if frame.relocatable
-                    )
-            candidates.sort(key=_by_fid)
-            del candidates[self.batch :]
-        else:
-            for frame in topo.frames.values():
-                if frame.tier_name == home_tier or not frame.relocatable:
-                    continue
-                if frame.owner in self.migrate_owners:
-                    candidates.append(frame)
-                    if len(candidates) >= self.batch:
-                        break
+        candidates = self._candidates(home_tier)
         if not candidates:
             return
         result = self.kernel.engine.migrate(candidates, home_tier, charge_time=False)
@@ -149,29 +145,28 @@ class NumaAllLocal(NumaPolicyBase):
     name = "all_local"
     early_demux = True
 
+    def _away_frames(self, home_tier: str) -> List[PageFrame]:
+        """Every live frame off ``home_tier``, in fid order."""
+        topo = self.kernel.topology
+        away = [
+            frame
+            for tier_name in topo.tiers
+            if tier_name != home_tier
+            for frame in topo.resident_frames(tier_name).values()
+        ]
+        away.sort(key=_by_fid)
+        return away
+
     def on_task_moved(self) -> None:
         """Teleport everything to the new home node, free of charge."""
         topo = self.kernel.topology
         home_tier = self.node_tier(self.preferred_node())
         dst = topo.tier(home_tier)
-        if self.use_index:
-            away = [
-                frame
-                for tier_name in topo.tiers
-                if tier_name != home_tier
-                for frame in topo.resident_frames(tier_name).values()
-            ]
-            away.sort(key=_by_fid)
-            for frame in away:
-                if not dst.has_room(1):
-                    break
-                topo.move_frame(frame, home_tier)
-                frame.node_id = self.preferred_node()
-        else:
-            for frame in list(topo.frames.values()):
-                if frame.tier_name != home_tier and dst.has_room(1):
-                    topo.move_frame(frame, home_tier)
-                    frame.node_id = self.preferred_node()
+        for frame in self._away_frames(home_tier):
+            if not dst.has_room(1):
+                break
+            topo.move_frame(frame, home_tier)
+            frame.node_id = self.preferred_node()
 
 
 class AutoNumaPolicy(NumaPolicyBase):

@@ -258,18 +258,15 @@ class Filesystem:
 
         first = offset // PAGE_SIZE
         last = (limit - 1) // PAGE_SIZE
-        # Cache hits are charged through a deferred-advance window (when
-        # the kernel offers one): the index-walk token and page charges of
-        # a run of hits coalesce into one Clock.advance. Misses and
-        # readahead fetches do real clock work, so the window is synced
-        # before them.
-        begin = getattr(self.ctx, "begin_access_batch", None)
-        batch = begin() if begin is not None else None
+        # Cache hits are charged through a deferred-advance window: the
+        # index-walk token and page charges of a run of hits coalesce into
+        # one Clock.advance. Misses and readahead fetches do real clock
+        # work, so the window is synced before them.
+        batch = self.ctx.begin_access_batch()
         for index in range(first, last + 1):
             page = cache.lookup(index)
             if page is None:
-                if batch is not None:
-                    batch.sync()
+                batch.sync()
                 self.cache_misses += 1
                 self._extent_lookup(inode, index, cpu=cpu)
                 self.blk.submit_pages(
@@ -281,16 +278,12 @@ class Filesystem:
                 self.cache_mgr.note_access(page)
                 self._charge_index_walk(cache, cpu=cpu, batch=batch)
             chunk = self._chunk_bytes(offset, limit - offset, index)
-            if batch is not None:
-                batch.access_object(page.obj, chunk, cpu=cpu)
-            else:
-                self.ctx.access_object(page.obj, chunk, cpu=cpu)
+            batch.access_object(page.obj, chunk, cpu=cpu)
 
             if self.readahead_enabled:
                 self._readahead(handle, cache, inode, index, cpu=cpu, batch=batch)
 
-        if batch is not None:
-            batch.close()
+        batch.close()
         inode.atime = self.ctx.clock.now()
         return limit - offset
 
@@ -396,7 +389,7 @@ class Filesystem:
         index: int,
         *,
         cpu: int,
-        batch=None,
+        batch,
     ) -> None:
         max_index = (inode.size_bytes - 1) // PAGE_SIZE if inode.size_bytes else -1
         to_fetch = [
@@ -406,10 +399,9 @@ class Filesystem:
         ]
         if not to_fetch:
             return
-        if batch is not None:
-            # The fetch does real clock work (bios, page fills): flush the
-            # deferred window so it starts at the legacy virtual time.
-            batch.sync()
+        # The fetch does real clock work (bios, page fills): flush the
+        # deferred window so it starts at the per-access virtual time.
+        batch.sync()
         # One sequential bio brings the whole window in asynchronously.
         self.blk.submit_pages(
             len(to_fetch),

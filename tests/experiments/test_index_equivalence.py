@@ -1,63 +1,50 @@
-"""Bit-identity of indexed scanners vs. the brute-force frame walk.
+"""The indexed scanners reproduce the deleted brute-force frame walks.
 
-The resident-frame indexes (PR-2) are a pure host-side optimization:
-every policy decision, migration, and simulated cost must be *exactly*
-what the legacy O(all frames) walks produced. These tests run full
-measured experiments twice — indexed, then with ``REPRO_NO_FRAME_INDEX=1``
-— and require the complete result payloads to match bit for bit.
+``REPRO_NO_FRAME_INDEX=1`` used to make the LRU scanners and AutoNUMA
+walk every frame instead of the resident-frame indexes. The walks are
+deleted from ``src`` (they live on as oracles in
+``tests/policies/scan_oracles.py``); before they were, every cell below
+was run in both modes and the identical output was recorded in
+``tests/golden/digests.json``. These tests run each cell with the
+retired variable still set and require the recorded output: the
+variable selects nothing any more, and the indexed scanners make exactly
+the decisions the walks made.
 
 cassandra is the probe workload: it mixes filesystem activity (SSTable
 reads/writes through the page cache) with network traffic (client
 sockets), so slab, page-cache, and app frames all churn through the
 scanners at once.
-
-CI treats a *skip* of this module as a failure (the scan-bench job greps
-pytest's skip report), so keep these tests unconditional.
 """
 
 import pytest
 
-from repro.experiments.cache import run_to_payload
-from repro.experiments.runner import run_optane_interference, run_two_tier
-
-TINY = 600
+from tests.golden import cells
 
 
-def _payload_both_modes(monkeypatch, **kwargs):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.delenv("REPRO_NO_FRAME_INDEX", raising=False)
-    indexed = run_to_payload(run_two_tier(**kwargs))
+@pytest.fixture
+def recorded(monkeypatch):
     monkeypatch.setenv("REPRO_NO_FRAME_INDEX", "1")
-    brute = run_to_payload(run_two_tier(**kwargs))
-    return indexed, brute
+    digests = cells.recorded()
+    assert digests, "no golden digests recorded for this SIM_VERSION"
+    return digests
+
+
+def _check(recorded, name):
+    assert cells.compute(name) == recorded[name]
 
 
 class TestTwoTierEquivalence:
-    def test_klocs_mixed_workload(self, monkeypatch):
-        indexed, brute = _payload_both_modes(
-            monkeypatch, workload="cassandra", policy="klocs", ops=TINY
-        )
-        assert indexed == brute
+    def test_klocs_mixed_workload(self, recorded):
+        _check(recorded, "two_tier/cassandra/klocs")
 
-    def test_nimblepp_mixed_workload(self, monkeypatch):
-        indexed, brute = _payload_both_modes(
-            monkeypatch, workload="cassandra", policy="nimble++", ops=TINY
-        )
-        assert indexed == brute
+    def test_nimblepp_mixed_workload(self, recorded):
+        _check(recorded, "two_tier/cassandra/nimble++")
 
-    def test_nimble_app_only_scan(self, monkeypatch):
-        indexed, brute = _payload_both_modes(
-            monkeypatch, workload="cassandra", policy="nimble", ops=TINY
-        )
-        assert indexed == brute
+    def test_nimble_app_only_scan(self, recorded):
+        _check(recorded, "two_tier/cassandra/nimble")
 
 
 class TestOptaneEquivalence:
     @pytest.mark.parametrize("policy", ["autonuma", "all_local"])
-    def test_interference_run(self, monkeypatch, policy):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        monkeypatch.delenv("REPRO_NO_FRAME_INDEX", raising=False)
-        indexed = run_optane_interference("cassandra", policy, TINY)
-        monkeypatch.setenv("REPRO_NO_FRAME_INDEX", "1")
-        brute = run_optane_interference("cassandra", policy, TINY)
-        assert indexed == brute
+    def test_interference_run(self, recorded, policy):
+        _check(recorded, f"optane/cassandra/{policy}")

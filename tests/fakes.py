@@ -104,6 +104,28 @@ class FakeKernel:
         self.clock.advance(cost)
         return cost
 
+    def access_frames(
+        self,
+        frames: List[PageFrame],
+        nbytes: int,
+        *,
+        write: bool = False,
+        cpu: int = 0,
+    ) -> int:
+        """Per-frame loop with the real kernel's PAGE_SIZE chunking."""
+        total = 0
+        remaining = nbytes
+        for frame in frames:
+            if remaining <= 0:
+                break
+            chunk = min(remaining, PAGE_SIZE)
+            total += self.access_frame(frame, chunk, write=write, cpu=cpu)
+            remaining -= chunk
+        return total
+
+    def begin_access_batch(self) -> "PassThroughBatch":
+        return PassThroughBatch(self)
+
     # -- application memory ----------------------------------------------
 
     def alloc_app_pages(self, npages: int, *, cpu: int = 0) -> List[PageFrame]:
@@ -135,3 +157,18 @@ class FakeKernel:
 
     def on_inode_unlink(self, inode, *, cpu: int = 0) -> None:
         self.unlinked_inodes.append(inode)
+
+
+class PassThroughBatch:
+    """The access-batch API without deferral: every access and free is
+    charged to the fake kernel immediately."""
+
+    def __init__(self, kernel: FakeKernel) -> None:
+        self.access_object = kernel.access_object
+        self.free_object = kernel.free_object
+
+    def sync(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass

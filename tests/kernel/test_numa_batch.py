@@ -1,4 +1,4 @@
-"""NUMA mode on the flat, batched charge path.
+"""NUMA mode on the batched charge path.
 
 ``Kernel.access_frames`` coalesces clock advances inside a deadline
 window. On the Optane platform every access is priced by the stateful
@@ -88,7 +88,7 @@ def test_batch_matches_per_frame_loop(write, tail):
     fired_batch, fired_loop = [], []
     batched = _numa_kernel(fired_batch)
     looped = _numa_kernel(fired_loop)
-    assert batched._flat and batched.numa_mode
+    assert batched.numa_mode
     run_b = _frames(batched)
     run_l = _frames(looped)
     nbytes = (len(run_b) - 1) * PAGE_SIZE + (tail or PAGE_SIZE)

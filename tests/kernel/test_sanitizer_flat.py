@@ -1,9 +1,8 @@
-"""The sanitizer on the production (flat) charge path.
+"""The sanitizer on the batched charge paths.
 
-``REPRO_SANITIZE=1`` no longer switches kernels to the legacy charge
-routine: it runs the flat, batched paths production runs, and those
-raise the sanitizer's use-after-free diagnostic on their dead-object
-branches. These cases cover the batched entry points the per-call tests
+Under ``REPRO_SANITIZE=1`` kernels run the same charge paths as plain
+runs, and those raise the sanitizer's use-after-free diagnostic on their
+dead-object branches. These cases cover the batched entry points the per-call tests
 in ``test_sanitizer.py`` do not reach, on both platforms.
 """
 
@@ -55,7 +54,7 @@ def test_frame_uaf_through_access_frames(sankernel):
 
 
 def test_object_uaf_through_access_batch(sankernel):
-    assert sankernel._san is not None and sankernel._flat
+    assert sankernel._san is not None
     obj = sankernel.alloc_object(KernelObjectType.SOCK)
     batch = sankernel.begin_access_batch()
     batch.access_object(obj)  # live: fine

@@ -1,12 +1,17 @@
-"""Peak-metadata regression tests, in both accounting modes.
+"""Peak-metadata regression tests.
 
 Table 6's peak figure is sampled at every metadata *growth* site (knode
 creation, object tracking, per-CPU list recording); shrink sites and
 cache-hit refreshes cannot raise the live size, so the hot path legally
 skips sampling there. These tests pin that contract — the peak must
 capture growth through every site, never decay, and the incremental
-counters must always agree with a from-scratch recomputation — under
-both the O(1) counter accounting and the ``REPRO_NO_HOTPATH=1`` walks.
+counters must always agree with a from-scratch recomputation.
+
+Each test runs twice: ``hot`` with a clean environment, ``legacy`` with
+the retired ``REPRO_NO_HOTPATH=1`` still set. That variable used to
+select per-structure accounting walks; they are deleted, so it must
+select nothing and both runs meet the same contract on the one
+accounting path.
 """
 
 import pytest
@@ -32,7 +37,7 @@ def mode(request, monkeypatch):
 
 @pytest.fixture
 def kernel(mode):
-    # Built after the env toggle: the accounting flag is construction-time.
+    # Built after the env toggle, as a construction-time knob would be read.
     return FakeKernel()
 
 

@@ -10,7 +10,7 @@ import pytest
 from repro.core.config import fast_dram_spec, slow_dram_spec
 from repro.core.units import MB
 from repro.mem.frame import PageOwner
-from repro.mem.topology import MemoryTopology, frame_index_enabled
+from repro.mem.topology import MemoryTopology
 
 
 @pytest.fixture
@@ -156,12 +156,3 @@ class TestRetiredLimit:
             topo.free(f, now_ns=0)
         assert len(topo.retired) == 0
 
-
-class TestEnvKnob:
-    def test_index_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FRAME_INDEX", "1")
-        assert not frame_index_enabled()
-
-    def test_index_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FRAME_INDEX", raising=False)
-        assert frame_index_enabled()

@@ -1,7 +1,7 @@
 """``NumaNode.access_cost_ns`` against the layered composition it inlines.
 
-The node cost is the Memory-Mode hook of the kernel's flat charge path,
-so it inlines the hardware DRAM cache's LRU probe and the PMEM tier's
+The node cost is the Memory-Mode hook of ``Kernel._charge``, so it
+inlines the hardware DRAM cache's LRU probe and the PMEM tier's
 miss cost. The oracle below is the composition it replaced, kept here as
 the reference: ``HardwareDRAMCache.access`` + ``MemoryTier.access_cost_ns``
 + the interconnect premium. Twin nodes are driven with the same random

@@ -1,11 +1,11 @@
-"""Behavioral tests for the periodic scanners, in both scan modes.
+"""Behavioral tests for the periodic scanners.
 
 These pin down the decision rules the resident-frame indexes must
 preserve exactly: watermark-gated demotion, two-touch promotion with
 streak reset, and AutoNUMA's batch-limited wakeups. Every test runs
-against the indexed path and the brute-force walk (``use_index`` toggled
-directly), so a regression in either mode — or a divergence between
-them — fails loudly.
+twice: with the indexed scanners, and with the frame-table walks of
+``scan_oracles`` deciding instead — so the rules are checked on the
+production scanners and on the reference they are compared against.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.kernel.kernel import Kernel
 from repro.mem.frame import PageOwner
 from repro.platforms.optane import build_optane_kernel
 from repro.policies.nimble import NimblePolicy
+from tests.policies.scan_oracles import use_oracles
 
 
 def make_kernel(fast_mb=4):
@@ -27,16 +28,22 @@ def make_kernel(fast_mb=4):
     return kernel
 
 
-@pytest.fixture(params=[True, False], ids=["indexed", "brute"])
-def use_index(request):
-    return request.param
+@pytest.fixture(params=["indexed", "brute"])
+def scanners(request):
+    """Prepares a kernel: indexed scanners, or the oracle walks."""
+
+    def prepare(kernel):
+        if request.param == "brute":
+            use_oracles(kernel)
+        return kernel
+
+    return prepare
 
 
 class TestWatermarkGatedDemotion:
-    def test_cold_pages_stay_put_without_pressure(self, use_index):
-        kernel = make_kernel()
+    def test_cold_pages_stay_put_without_pressure(self, scanners):
+        kernel = scanners(make_kernel())
         lru = kernel.policy.lru
-        lru.use_index = use_index
         frames = kernel.alloc_app_pages(64)  # fast tier is mostly free
         now = 0
         for _ in range(kernel.platform.lru.cold_age_rounds + 2):
@@ -48,10 +55,9 @@ class TestWatermarkGatedDemotion:
         assert lru.demoted == 0
         assert all(f.tier_name == "fast" for f in frames)
 
-    def test_pressure_demotes_to_restore_watermark(self, use_index):
-        kernel = make_kernel()
+    def test_pressure_demotes_to_restore_watermark(self, scanners):
+        kernel = scanners(make_kernel())
         lru = kernel.policy.lru
-        lru.use_index = use_index
         fast = kernel.topology.tier("fast")
         kernel.alloc_app_pages(fast.capacity_pages)  # exhaust fast memory
         now = 0
@@ -67,10 +73,9 @@ class TestTwoTouchPromotion:
     def _slow_app_frames(self, kernel, n):
         return kernel.topology.allocate(n, ["slow"], PageOwner.APP)
 
-    def test_single_touches_never_promote(self, use_index):
-        kernel = make_kernel()
+    def test_single_touches_never_promote(self, scanners):
+        kernel = scanners(make_kernel())
         lru = kernel.policy.lru
-        lru.use_index = use_index
         (frame,) = self._slow_app_frames(kernel, 1)
         period = kernel.platform.lru.scan_period_ns
         lru.scan(period)      # allocation touch: streak 1
@@ -81,10 +86,9 @@ class TestTwoTouchPromotion:
         assert frame.tier_name == "slow"
         assert frame.scan_ref_streak <= 1
 
-    def test_consecutive_touches_promote(self, use_index):
-        kernel = make_kernel()
+    def test_consecutive_touches_promote(self, scanners):
+        kernel = scanners(make_kernel())
         lru = kernel.policy.lru
-        lru.use_index = use_index
         (frame,) = self._slow_app_frames(kernel, 1)
         period = kernel.platform.lru.scan_period_ns
         lru.scan(period)  # allocation counts as the first touch
@@ -94,12 +98,14 @@ class TestTwoTouchPromotion:
         assert frame.tier_name == "fast"
 
     def test_streak_reset_matches_between_modes(self):
-        """Same touch schedule, both modes: identical promote decisions."""
+        """Same touch schedule, indexed and oracle: identical promote
+        decisions."""
         outcomes = {}
-        for use_index in (True, False):
+        for oracle in (False, True):
             kernel = make_kernel()
+            if oracle:
+                use_oracles(kernel)
             lru = kernel.policy.lru
-            lru.use_index = use_index
             frames = self._slow_app_frames(kernel, 8)
             period = kernel.platform.lru.scan_period_ns
             for round_no in range(1, 7):
@@ -110,12 +116,12 @@ class TestTwoTouchPromotion:
                     if round_no % (i + 1) == 0:
                         frame.record_access(now - 50, write=False)
                 lru.scan(now)
-            outcomes[use_index] = (
+            outcomes[oracle] = (
                 lru.promoted,
                 [f.tier_name for f in frames],
                 [f.scan_ref_streak for f in frames],
             )
-        assert outcomes[True][:2] == outcomes[False][:2]
+        assert outcomes[False][:2] == outcomes[True][:2]
 
 
 class TestAutoNumaBatchLimit:
@@ -125,9 +131,9 @@ class TestAutoNumaBatchLimit:
         kernel.set_task_node(1)  # every frame is now away from home
         return kernel, pol, frames
 
-    def test_wakeup_moves_at_most_batch(self, use_index):
+    def test_wakeup_moves_at_most_batch(self, scanners):
         kernel, pol, frames = self._away_kernel(pol_batch_plus := 600)
-        pol.use_index = use_index
+        scanners(kernel)
         pol._scan()
         assert pol.migrated_app == pol.batch < pol_batch_plus
         # Earliest-allocated (lowest-fid) frames move first, matching the
@@ -135,9 +141,9 @@ class TestAutoNumaBatchLimit:
         moved = sorted(f.fid for f in frames if f.tier_name == "node1")
         assert moved == sorted(f.fid for f in frames)[: pol.batch]
 
-    def test_repeated_wakeups_drain_the_away_set(self, use_index):
+    def test_repeated_wakeups_drain_the_away_set(self, scanners):
         kernel, pol, frames = self._away_kernel(600)
-        pol.use_index = use_index
+        scanners(kernel)
         for _ in range(4):
             pol._scan()
         assert pol.migrated_app == 600
