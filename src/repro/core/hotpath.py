@@ -76,6 +76,7 @@ HOT_CALLEE_WHITELIST: Set[str] = {
     "record_migration",
     "lookup",
     "_kmap_get",
+    "_percpu_lookup",
     "note_access",
     "_note_metadata",
     "knode_for_inode",

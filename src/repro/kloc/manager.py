@@ -172,35 +172,15 @@ class KlocManager:
         kid = obj.knode_id
         if kid is None:
             return False
-        # Inlined lookup, as in note_access. The peak sample is needed
-        # only when the lookup *recorded* a new per-CPU entry: a hit
-        # followed by a removal strictly shrinks metadata, and every
-        # growth site samples, so sampling there would be a no-op.
-        percpu = self.percpu
-        lists = percpu.lists
-        if not 0 <= cpu < lists.num_cpus:
-            raise IndexError(f"cpu {cpu} out of range [0, {lists.num_cpus})")
-        lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
-        recorded = False
-        if kid in lst:
-            lst.move_to_end(kid)
-            lists.hits += 1
-            percpu.fast_hits += 1
-            knode = self._kmap_get(kid)
-        else:
-            lists.misses += 1
-            percpu.slow_lookups += 1
-            knode = self.kmap.lookup(kid)
-            if knode is not None:
-                lists.record(cpu, kid)
-                recorded = True
-        if knode is None:
-            return False
-        removed = knode.remove_obj(obj)
+        # The removal goes first so that a peak sample taken by the
+        # lookup's recorded miss already counts the object as gone; the
+        # lookup touches only the per-CPU lists and the kmap, the removal
+        # only the knode's trees, so the end state is the same either way.
+        knode = self._kmap_get(kid)
+        removed = knode is not None and knode.remove_obj(obj)
         if removed:
             self._tracked_objects -= 1
-            if recorded:
-                self._note_metadata()
+        self._percpu_lookup(kid, cpu, removed)
         return removed
 
     @hot
@@ -221,35 +201,7 @@ class KlocManager:
         kid = obj.knode_id
         if kid is None:
             return
-        # Fully inlined lookup (same counters, same recency refresh as
-        # PerCPUKnodeCache.lookup) — this is the single most frequent
-        # accounting call, one per charged object access.
-        percpu = self.percpu
-        lists = percpu.lists
-        if not 0 <= cpu < lists.num_cpus:
-            raise IndexError(f"cpu {cpu} out of range [0, {lists.num_cpus})")
-        lst = lists._lists[cpu]  # noqa: SLF001 - hot-path access
-        if kid in lst:
-            lst.move_to_end(kid)
-            lists.hits += 1
-            percpu.fast_hits += 1
-            knode = self._kmap_get(kid)
-        else:
-            lists.misses += 1
-            percpu.slow_lookups += 1
-            knode = self.kmap.lookup(kid)
-            if knode is not None:
-                lists.record(cpu, kid)
-                # _note_metadata(), inlined — only the recorded miss can
-                # grow metadata; on a hit a sample would be a no-op (every
-                # growth site already samples the peak).
-                size = (
-                    KNODE_STRUCT_BYTES * (self.knodes_created - self.knodes_deleted)
-                    + RB_POINTER_BYTES * self._tracked_objects
-                    + lists.total_entries * 24
-                )
-                if size > self.peak_metadata_bytes:
-                    self.peak_metadata_bytes = size
+        knode = self._percpu_lookup(kid, cpu)
         if knode is None:
             return
         knode.age = 0
@@ -262,8 +214,17 @@ class KlocManager:
         kid = inode.knode_id
         if kid is None:
             return None
-        # Inlined lookup; the peak sample matters only when the miss path
-        # recorded a new per-CPU entry (a hit changes nothing).
+        return self._percpu_lookup(kid, cpu)
+
+    @hot
+    def _percpu_lookup(self, kid: int, cpu: int, sample: bool = True) -> Optional[Knode]:
+        """:meth:`PerCPUKnodeCache.lookup`, inlined (same bounds check,
+        counters and recency refresh), for the three lookups above.
+
+        Only a miss that records a new per-CPU entry can grow metadata, so
+        only that outcome samples the peak, and only with ``sample``: a
+        hit changes nothing, and every other growth site samples itself.
+        """
         percpu = self.percpu
         lists = percpu.lists
         if not 0 <= cpu < lists.num_cpus:
@@ -279,7 +240,8 @@ class KlocManager:
         knode = self.kmap.lookup(kid)
         if knode is not None:
             lists.record(cpu, kid)
-            self._note_metadata()
+            if sample:
+                self._note_metadata()
         return knode
 
     # ------------------------------------------------------------------
@@ -322,7 +284,8 @@ class KlocManager:
 
     def verify_counters(self) -> None:
         """Sanitizer cross-check: every incrementally maintained counter
-        must equal a full recomputation from the live structures.
+        must equal a full recomputation from the live structures, and
+        every knode's membership must pass :meth:`Knode.check_invariants`.
 
         Called by the migration daemon at scan boundaries and by kernel
         teardown when ``REPRO_SANITIZE=1``; a no-op otherwise. Read-only —
@@ -339,6 +302,7 @@ class KlocManager:
         )
         members = 0
         for knode in knodes:
+            knode.check_invariants()
             members += knode.object_count
         san.expect(
             "KlocManager._tracked_objects (rb-tree pointers)",

@@ -14,6 +14,13 @@ Each run:
    to fast memory while capacity (minus the configured reserve) allows —
    the 4–12% reverse migrations.
 3. **Aging** — knodes untouched since the previous run age by one round.
+
+Candidates come from :meth:`KlocMigrationDaemon.knode_frames`, already
+filtered to the tier a pass moves pages off and cut to the batch it can
+take: the knode's cache-tree frames by fid, then its slab-tree frames in
+oid order, then the KLOC allocator's pages for the knode, each frame
+once. That is the order an in-order walk of the two trees followed by
+the allocator pages gives (see :mod:`repro.kloc.knode`).
 """
 
 from __future__ import annotations
@@ -83,21 +90,32 @@ class KlocMigrationDaemon:
 
     # ------------------------------------------------------------------
 
-    def knode_frames(self, knode: "Knode") -> List[PageFrame]:
-        """All live frames under the knode subtree, including the KLOC
-        allocator's knode-grouped slab-replacement pages."""
-        frames = {f.fid: f for f in knode.frames()}
-        if self.kloc_allocator is not None:
-            for frame in self.kloc_allocator.knode_frames(knode.knode_id):
-                if frame.live:
-                    frames.setdefault(frame.fid, frame)
-        return list(frames.values())
+    def knode_frames(
+        self, knode: "Knode", tier: Optional[str] = None, limit: Optional[int] = None
+    ) -> List[PageFrame]:
+        """All live frames under the knode subtree on ``tier`` (any tier
+        if None), cut to ``limit``: :meth:`Knode.frames` (cache tree by
+        fid, then slab tree by oid), then the KLOC allocator's
+        knode-grouped slab-replacement pages not already listed."""
+        out = knode.frames(tier, limit)
+        if self.kloc_allocator is None or len(out) == limit:
+            return out
+        seen = {frame.fid for frame in out}
+        for frame in self.kloc_allocator.knode_frames(knode.knode_id):
+            if (
+                frame.live
+                and frame.fid not in seen
+                and (tier is None or frame.tier_name == tier)
+            ):
+                seen.add(frame.fid)
+                out.append(frame)
+                if len(out) == limit:
+                    break
+        return out
 
     def downgrade_knode(self, knode: "Knode") -> int:
         """Move one cold knode's objects to slow memory (en masse)."""
-        victims = [
-            f for f in self.knode_frames(knode) if f.tier_name == self.fast_tier
-        ]
+        victims = self.knode_frames(knode, self.fast_tier)
         if not victims:
             return 0
         result = self.engine.migrate(victims, self.slow_tier, charge_time=False)
@@ -122,9 +140,7 @@ class KlocMigrationDaemon:
         headroom = min(budget_pages - kernel_used, fast.free_pages, batch)
         if headroom <= 0:
             return 0
-        candidates = [
-            f for f in self.knode_frames(knode) if f.tier_name == self.slow_tier
-        ][:headroom]
+        candidates = self.knode_frames(knode, self.slow_tier, headroom)
         if not candidates:
             return 0
         result = self.engine.migrate(candidates, self.fast_tier, charge_time=False)

@@ -48,7 +48,7 @@ from repro.core.sanitize import sanitize_enabled
 #: changes shape (what is serialized, the header layout) so stale blobs
 #: written by older code are ignored rather than misread. Orthogonal to
 #: ``SIM_VERSION``, which tracks simulated *behavior*.
-SNAPSHOT_FORMAT = "4"
+SNAPSHOT_FORMAT = "5"
 
 #: Pinned pickle protocol: snapshots written by one interpreter must load
 #: in any other CPython >= 3.8 this repo supports.

@@ -12,6 +12,13 @@ The cells:
 * ``two_tier/cassandra/<policy>`` — ``run_to_payload(run_two_tier(...))``
   at 600 ops for klocs, nimble++ and nimble (object, frame and batched
   charges, the KLOC daemon and both LRU scanner flavours).
+* ``two_tier/<workload>/klocs`` — the same payload for rocksdb, spark,
+  filebench and redis at 600 ops, and ``two_tier/cassandra/klocs@2000``
+  at 2000 ops. All but redis are *daemon cells*: their KLOC migration
+  daemon moves pages (at 600 ops the cassandra cell's daemon passes move
+  none), so they pin the order in which the daemon picks a knode's
+  frames. ``test_golden.py`` checks that each daemon cell's daemon moved
+  at least a page.
 * ``optane/<workload>/<policy>`` — ``run_optane_interference`` at 600 ops
   for cassandra and redis under autonuma, all_local and all_remote, hashed
   together with the kernel's charge counters: hardware DRAM cache
@@ -24,12 +31,15 @@ The cells:
   ``two_tier/cassandra/klocs`` cell run with a tracer attached and every
   category enabled.
 
-Record the digests for a new ``SIM_VERSION`` with::
+Record the digests for a new ``SIM_VERSION``, or for cells added since
+the current one was recorded, with::
 
     PYTHONPATH=src python -m tests.golden.cells
 
-The recorder adds a missing ``SIM_VERSION`` key and refuses to overwrite
-an existing one: a behaviour change always shows up as a version bump.
+The recorder adds a missing ``SIM_VERSION`` key, or the missing cells
+under an existing key, and never rewrites a recorded digest: a behaviour
+change always shows up as a version bump. Record new cells on the commit
+before the change they are meant to check.
 """
 
 from __future__ import annotations
@@ -51,6 +61,21 @@ DIGESTS = Path(__file__).with_name("digests.json")
 OPS = 600
 SEED = 42
 TWO_TIER_POLICIES = ("klocs", "nimble++", "nimble")
+#: Cell name → (workload, ops) of a further two-tier klocs run.
+KLOC_CELLS = {
+    "two_tier/rocksdb/klocs": ("rocksdb", OPS),
+    "two_tier/spark/klocs": ("spark", OPS),
+    "two_tier/filebench/klocs": ("filebench", OPS),
+    "two_tier/redis/klocs": ("redis", OPS),
+    "two_tier/cassandra/klocs@2000": ("cassandra", 2000),
+}
+#: The KLOC cells whose migration daemon moves pages.
+DAEMON_CELLS = (
+    "two_tier/rocksdb/klocs",
+    "two_tier/spark/klocs",
+    "two_tier/filebench/klocs",
+    "two_tier/cassandra/klocs@2000",
+)
 OPTANE_WORKLOADS = ("cassandra", "redis")
 OPTANE_POLICIES = ("autonuma", "all_local", "all_remote")
 
@@ -96,13 +121,27 @@ def _wrapped(module: Any, name: str, after: Callable[[Any], None]) -> Iterator[N
         setattr(module, name, real)
 
 
-def two_tier_payload(workload: str, policy: str) -> Dict[str, Any]:
+def two_tier_payload(workload: str, policy: str, ops: int = OPS) -> Dict[str, Any]:
     from repro.experiments.runner import run_two_tier
 
     with _no_result_cache():
         return run_to_payload(
-            run_two_tier(workload=workload, policy=policy, ops=OPS, run_seed=SEED)
+            run_two_tier(workload=workload, policy=policy, ops=ops, run_seed=SEED)
         )
+
+
+def kloc_cell(name: str) -> Tuple[Dict[str, Any], int]:
+    """A KLOC cell's payload and the pages its migration daemon moved
+    (downgrades plus upgrades, setup phase included)."""
+    import repro.experiments.runner as runner
+
+    workload, ops = KLOC_CELLS[name]
+    built: List[Any] = []
+    with _wrapped(runner, "build_two_tier_kernel", built.append):
+        payload = two_tier_payload(workload, "klocs", ops)
+    (kernel,) = built
+    daemon = kernel.kloc_daemon
+    return payload, daemon.downgraded_pages + daemon.upgraded_pages
 
 
 def kernel_counters(kernel: Any) -> Dict[str, Any]:
@@ -193,6 +232,8 @@ def _cells() -> Dict[str, Callable[[], Any]]:
         cells[f"two_tier/cassandra/{policy}"] = (
             lambda p=policy: two_tier_payload("cassandra", p)
         )
+    for name in KLOC_CELLS:
+        cells[name] = lambda n=name: kloc_cell(n)[0]
     for workload in OPTANE_WORKLOADS:
         for policy in OPTANE_POLICIES:
             cells[f"optane/{workload}/{policy}"] = (
@@ -222,18 +263,18 @@ def recorded() -> Dict[str, str]:
 
 def main() -> int:
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    if SIM_VERSION in table:
+    entry = table.setdefault(SIM_VERSION, {})
+    missing = [name for name in CELLS if name not in entry]
+    if not missing:
         print(
-            f"golden: digests for SIM_VERSION {SIM_VERSION!r} already recorded; "
-            "bump SIM_VERSION to record new ones",
+            f"golden: every cell is recorded for SIM_VERSION {SIM_VERSION!r}; "
+            "bump SIM_VERSION to record new digests",
             file=sys.stderr,
         )
         return 1
-    entry = {}
-    for name in CELLS:
+    for name in missing:
         entry[name] = compute(name)
         print(f"{name} {entry[name]}")
-    table[SIM_VERSION] = entry
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -24,9 +24,18 @@ def test_every_cell_is_recorded(golden):
     assert sorted(golden) == sorted(cells.CELLS)
 
 
-@pytest.mark.parametrize("name", sorted(cells.CELLS))
+@pytest.mark.parametrize("name", sorted(set(cells.CELLS) - set(cells.DAEMON_CELLS)))
 def test_cell_matches_recorded_digest(golden, name):
     assert cells.compute(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", cells.DAEMON_CELLS)
+def test_daemon_cell_matches_recorded_digest(golden, name):
+    """The daemon cells pin the KLOC daemon's candidate order, which only
+    holds while their daemon actually moves pages."""
+    payload, moved = cells.kloc_cell(name)
+    assert cells.digest(payload) == golden[name]
+    assert moved >= 1, f"{name}: the KLOC daemon moved no page"
 
 
 def test_tracing_does_not_change_the_run(golden):

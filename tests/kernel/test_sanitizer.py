@@ -178,6 +178,53 @@ def test_drift_surfaces_at_scan_boundary(sankernel):
         sankernel.kloc_daemon.run(sankernel.clock.now())
 
 
+def _knode_with_cache_members(kernel, n=2):
+    for knode in kernel.kloc_manager.kmap.all_knodes():
+        if len(knode.rbtree_cache) >= n and knode.rbtree_slab:
+            return knode
+    raise AssertionError("no knode holds both cache and slab members")
+
+
+def _rekey(knode):
+    oid, obj = next(iter(knode.rbtree_cache.items()))
+    del knode.rbtree_cache[oid]
+    knode.rbtree_cache[oid + 10**9] = obj
+
+
+def _slab_member_in_cache_tree(knode):
+    oid, obj = next(iter(knode.rbtree_slab.items()))
+    del knode.rbtree_slab[oid]
+    knode.rbtree_cache[oid] = obj
+
+
+def _shared_cache_frame(knode):
+    first, second = list(knode.rbtree_cache.values())[:2]
+    second.frame = first.frame
+
+
+@pytest.mark.parametrize(
+    "inject, message",
+    [
+        (_rekey, "keyed by oid"),
+        (_slab_member_in_cache_tree, "in the wrong tree"),
+        (_shared_cache_frame, "backs two cache-tree members"),
+    ],
+    ids=["wrong-key", "wrong-tree", "shared-frame"],
+)
+def test_knode_membership_corruption_detected_at_scan_boundary(
+    sankernel, inject, message
+):
+    """Knode.check_invariants guards the premises of the daemon's fid-ordered
+    candidate lists; the sanitized scan boundary runs it on every knode.
+    Each injection keeps the member count, so only the membership check
+    can catch it."""
+    _populate(sankernel)
+    sankernel.kloc_manager.verify_counters()
+    inject(_knode_with_cache_members(sankernel))
+    with pytest.raises(SimulationError, match=message):
+        sankernel.kloc_daemon.run(sankernel.clock.now())
+
+
 def test_tier_alloc_drift_detected_at_teardown(sankernel):
     _populate(sankernel)
     sankernel.topology.tier("fast").total_allocs += 1  # a lost alloc count

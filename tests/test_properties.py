@@ -156,8 +156,7 @@ def test_knode_membership_mirrors_adds_and_removes(ops):
             del tracked[oid]
     assert knode.object_count == len(tracked)
     assert {o.oid for o in knode.iter_all()} == set(tracked)
-    knode.rbtree_cache.check_invariants()
-    knode.rbtree_slab.check_invariants()
+    knode.check_invariants()
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
